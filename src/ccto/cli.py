@@ -15,7 +15,11 @@ import argparse
 import sys
 import time
 
-from .colorcoding import MAX_EXHAUSTIVE_COLOURINGS, solve_color_coding
+from .colorcoding import (
+    MAX_EXHAUSTIVE_COLOURINGS,
+    exhaustive_colouring_count,
+    solve_color_coding,
+)
 from .core import (
     INF,
     CapabilityError,
@@ -69,8 +73,9 @@ def choose_solver(instance: CctoInstance) -> str:
 
 
 def _colorcoding_mode(instance: CctoInstance) -> str:
-    bound = max(instance.k - 2, 1) ** max(instance.graph.n - 2, 0)
-    return "exhaustive" if bound <= MAX_EXHAUSTIVE_COLOURINGS else "randomized"
+    if exhaustive_colouring_count(instance) <= MAX_EXHAUSTIVE_COLOURINGS:
+        return "exhaustive"
+    return "randomized"
 
 
 def _run_solver(name, instance, subforest, args):
@@ -285,6 +290,26 @@ def cmd_generate(args) -> int:
     return EXIT_FEASIBLE
 
 
+def _disagreement(path, answers):
+    """First conflict among one instance's (name, feasible, cost, bound)
+    answers, or None.
+
+    Exact answers must match each other. A randomized answer is only an
+    upper bound (or a miss), so it conflicts only by undercutting an exact
+    cost.
+    """
+    exact = [a for a in answers if not a[3]]
+    for (a, fa, ca, _), (b, fb, cb, _) in zip(exact, exact[1:]):
+        if (fa, ca) != (fb, cb):
+            return f"{path}: {a}={_cost_text(ca)} {b}={_cost_text(cb)}"
+    if exact:
+        a, _, ca, _ = exact[0]
+        for name, _, cost, bound in answers:
+            if bound and cost < ca:
+                return f"{path}: {name}={_cost_text(cost)} below {a}={_cost_text(ca)}"
+    return None
+
+
 def cmd_bench(args) -> int:
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     print("# instance solver feasible cost states millis")
@@ -308,10 +333,9 @@ def cmd_bench(args) -> int:
                 f"{path} {name} {'yes' if result.feasible else 'no'} "
                 f"{_cost_text(result.optimal_cost)} {states} {millis:.1f}"
             )
-            answers.append((name, result.feasible, result.optimal_cost))
-        for (a, fa, ca), (b, fb, cb) in zip(answers, answers[1:]):
-            if (fa, ca) != (fb, cb):
-                disagreement = f"{path}: {a}={_cost_text(ca)} {b}={_cost_text(cb)}"
+            bound = result.stats.get("mode") == "randomized"
+            answers.append((name, result.feasible, result.optimal_cost, bound))
+        disagreement = _disagreement(path, answers) or disagreement
     if disagreement:
         print(f"disagreement {disagreement}", file=sys.stderr)
         return EXIT_DISAGREEMENT

@@ -1,26 +1,29 @@
-"""Colour-order decomposition solvers.
+"""Colour-coding solvers.
 
-The pipeline: a table of minimum walk costs between all vertex/time pairs,
-a dynamic program over walks whose colours first appear in a prescribed
-order, a solver for the colourful variant (visit every colour) built on all
-orders of the palette, and the full solver that tries colourings of the
-inner vertices — every colouring exhaustively, or seeded random draws with
-an explicit failure probability.
+The pipeline: a solver for the colourful variant (visit every colour) as
+one label sweep over (vertex, time, colours seen), and the full solver that
+tries colourings of the inner vertices — every colouring exhaustively, or
+seeded random draws with an explicit failure probability.
 
 A walk that must show all k colours visits k distinct vertices, and any
 walk through k distinct vertices is colourful under some colouring that
 separates those vertices, which is what makes the reduction exact.
+
+The paper's colour-order decomposition is kept as the reference the sweep
+is tested against: a table of minimum walk costs between all vertex/time
+pairs and a dynamic program over walks whose colours first appear in a
+prescribed order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
 
 from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph
 from .result import SolveResult, verify_result
+from .tree_solvers import _best_accepted, _label_sweep, _rebuild
 
 MAX_EXHAUSTIVE_COLOURINGS = 1_000_000
 DEFAULT_FAILURE_PROB = 1e-3
@@ -126,16 +129,7 @@ def _classes(colouring):
     return {c: tuple(vs) for c, vs in out.items()}
 
 
-def _prefix_table(graph, allowed, cache):
-    if cache is None:
-        return all_pairs_min_walk(graph, allowed)
-    key = frozenset(allowed)
-    if key not in cache:
-        cache[key] = all_pairs_min_walk(graph, key)
-    return cache[key]
-
-
-def _ordered_run(graph, classes, order, cache):
+def _ordered_run(graph, classes, order):
     """Fill, colour by colour in `order`, the cheapest cost of reaching each
     vertex of the current colour by each time, with that vertex the first of
     its colour on the walk and all earlier stops of already-placed colours.
@@ -151,7 +145,7 @@ def _ordered_run(graph, classes, order, cache):
     placed = set(classes[order[0]])
     prev_class = classes[order[0]]
     for colour in order[1:]:
-        table = _prefix_table(graph, placed, cache)
+        table = all_pairs_min_walk(graph, placed)
         costs = {}
         bp = {}
         for v in classes.get(colour, ()):
@@ -195,7 +189,7 @@ def _rebuild_ordered(steps, order, classes, v, t):
     return [step for leg in legs for step in leg]
 
 
-def ordered_walk_min(graph, colouring, order, _cache=None):
+def ordered_walk_min(graph, colouring, order):
     """Cheapest walk whose colours first appear exactly in `order`.
 
     `colouring` maps vertices to colours; colour 0 must be exactly one
@@ -208,7 +202,7 @@ def ordered_walk_min(graph, colouring, order, _cache=None):
     _check_colour_zero(classes, order, set(colouring.values()))
     if len(order) == 1:
         return 0, []
-    steps = _ordered_run(graph, classes, order, _cache)
+    steps = _ordered_run(graph, classes, order)
     _table, costs, _bp = steps[-1]
     horizon = graph.lifetime
     best, best_v = INF, None
@@ -229,103 +223,67 @@ def _check_colour_zero(classes, order, used_colours):
         raise ValueError("colour order must permute the used colours")
 
 
-def solve_colourful(graph, source, sink, k, colouring, budget, _cache=None) -> SolveResult:
+def _palette(graph, source, sink, k):
+    """Sorted inner vertices (all but source and sink) and the number of
+    inner colours: k - 2, or k - 1 when the walk is closed."""
+    inner = sorted(set(range(graph.n)) - {source, sink})
+    return inner, (k - 2 if source != sink else k - 1)
+
+
+def exhaustive_colouring_count(instance: CctoInstance) -> int:
+    """Colourings the exhaustive cap counts: palette ** inner vertices."""
+    inner, palette = _palette(
+        instance.graph, instance.source, instance.sink, instance.k
+    )
+    return max(palette, 0) ** len(inner)
+
+
+def solve_colourful(graph, source, sink, k, colouring, budget) -> SolveResult:
     """Cheapest walk source -> sink showing every colour, k colours total.
 
     `colouring` covers exactly the inner vertices (everything but source
-    and sink) with colours 1..k-2, or 1..k-1 when source = sink. The source
-    is colour 0 and a distinct sink the last colour. All orders of the
-    non-zero colours are tried — the sink's colour may first appear
-    mid-walk, with revisits carrying the walk onward — and each candidate
-    ends with an unrestricted final leg to the sink. For k of at most 2
-    with distinct endpoints (or 1 when closed) no colours are needed and
-    the walk-cost table answers directly.
+    and sink) with colours 1..k-2, or 1..k-1 when source = sink. One label
+    sweep over (vertex, arrival time, mask of colours seen) settles it, the
+    colour-subset DP of Alon, Yuster and Zwick: a move into a vertex ORs in
+    its colour bit (the source and a distinct sink carry none), and a state
+    at the sink accepts once its mask holds the whole palette. Revisits are
+    free to carry the walk onward, so the sink may be passed mid-walk. For
+    k of at most 2 with distinct endpoints (or 1 when closed) no colours
+    are needed and the colouring is ignored.
     """
-    if _cache is None:
-        _cache = {}
-    horizon = graph.lifetime
-    inner = set(range(graph.n)) - {source, sink}
-    palette = k - 2 if source != sink else k - 1
+    inner, palette = _palette(graph, source, sink, k)
+    bit = [0] * graph.n
+    if palette > 0:
+        if set(colouring) != set(inner):
+            raise ValueError("colouring must cover exactly the inner vertices")
+        bad = [c for c in colouring.values() if not (1 <= c <= palette)]
+        if bad:
+            raise ValueError(
+                f"colour {bad[0]} outside the inner palette 1..{palette}"
+            )
+        for v, c in colouring.items():
+            bit[v] = 1 << (c - 1)
+    full = (1 << max(palette, 0)) - 1
+    start = (source, 0, 0)
 
-    if palette <= 0:
-        return _direct(graph, source, sink, budget, _cache)
+    def step(state, move):
+        _, arrive, w, _cost = move
+        return (w, arrive, state[2] | bit[w])
 
-    got = {v: c for v, c in colouring.items()}
-    if set(got) != inner:
-        raise ValueError("colouring must cover exactly the inner vertices")
-    bad = [c for c in got.values() if not (1 <= c <= palette)]
-    if bad:
-        raise ValueError(
-            f"colour {bad[0]} outside the inner palette 1..{palette}"
-        )
-    full = dict(got)
-    full[source] = 0
-    if source != sink:
-        full[sink] = k - 1
-    classes = _classes(full)
-    nonzero = sorted(c for c in classes if c != 0)
-    order_count = 0
-    best = INF
-    best_at = None
-    if all(classes.get(c) for c in range(1, palette + 1)):
-        full_table = _prefix_table(graph, frozenset(range(graph.n)), _cache)
-        for tail in itertools.permutations(nonzero):
-            order = (0,) + tail
-            order_count += 1
-            steps = _ordered_run(graph, classes, order, _cache)
-            _table, costs, _bp = steps[-1]
-            for v in classes[order[-1]]:
-                row = costs[v]
-                for t1 in range(horizon + 1):
-                    if row[t1] == INF:
-                        continue
-                    for t2 in range(t1, horizon + 1):
-                        leg = full_table.cost(v, sink, t1, t2)
-                        if leg == INF:
-                            continue
-                        if row[t1] + leg < best:
-                            best = row[t1] + leg
-                            best_at = (order, v, t1, t2)
-    witness = None
-    if best_at is not None:
-        order, v, t1, t2 = best_at
-        steps = _ordered_run(graph, classes, order, _cache)
-        full_table = _prefix_table(graph, frozenset(range(graph.n)), _cache)
-        witness = _rebuild_ordered(steps, order, classes, v, t1)
-        witness += full_table.walk(v, sink, t1, t2)
-    return SolveResult(
-        feasible=best <= budget,
-        optimal_cost=best,
-        witness=witness,
-        solver="colourful",
-        stats={"orders": order_count, "tables": len(_cache)},
+    labels, parents = _label_sweep(graph, start, step)
+    best, best_state = _best_accepted(
+        labels, lambda s: s[0] == sink and s[2] == full
     )
-
-
-def _direct(graph, source, sink, budget, cache):
-    """No inner colours needed: query the walk-cost table directly."""
-    table = _prefix_table(graph, frozenset(range(graph.n)), cache)
-    if source == sink:
-        return SolveResult(
-            feasible=True,
-            optimal_cost=0,
-            witness=[],
-            solver="colourful",
-            stats={"orders": 0, "direct": True},
-        )
-    best, best_at = INF, None
-    for (u, v, t1, t2), cost in sorted(table.entries.items()):
-        if u == source and v == sink and cost < best:
-            best, best_at = cost, (t1, t2)
-    witness = None
-    if best_at is not None:
-        witness = table.walk(source, sink, best_at[0], best_at[1])
+    witness = None if best_state is None else _rebuild(parents, start, best_state)
+    stats = {"states": len(labels)}
+    if palette <= 0:
+        stats["direct"] = True
     return SolveResult(
         feasible=best <= budget,
         optimal_cost=best,
         witness=witness,
         solver="colourful",
-        stats={"orders": 0, "direct": True},
+        stats=stats,
     )
 
 
@@ -362,7 +320,7 @@ def solve_color_coding(
 
     Exhaustive mode tries every way of splitting the inner vertices into
     exactly as many groups as there are inner colours (colour names do not
-    matter because every order is tried) and is exact. Randomized mode
+    matter because only the set of colours seen is tracked) and is exact. Randomized mode
     draws independent uniform colourings: a witness with k distinct
     vertices gets distinct colours with probability at least p!/p^p for p
     inner colours, so ceil(e^p * ln(1/failure_prob)) trials push the miss
@@ -372,12 +330,10 @@ def solve_color_coding(
     """
     graph, source, sink = instance.graph, instance.source, instance.sink
     k, budget = instance.k, instance.budget
-    inner = sorted(set(range(graph.n)) - {source, sink})
-    palette = k - 2 if source != sink else k - 1
-    cache: dict = {}
+    inner, palette = _palette(graph, source, sink, k)
 
     if palette <= 0:
-        result = solve_colourful(graph, source, sink, k, {}, budget, cache)
+        result = solve_colourful(graph, source, sink, k, {}, budget)
         result.stats["mode"] = mode
         return result
     if palette > len(inner):
@@ -389,24 +345,26 @@ def solve_color_coding(
         )
 
     if mode == "exhaustive":
-        bound = palette ** len(inner)
+        bound = exhaustive_colouring_count(instance)
         if bound > exhaustive_cap:
             raise CapabilityError(
                 f"{bound} colourings exceed the cap {exhaustive_cap}"
             )
         best = None
-        colourings = 0
+        colourings = states = 0
         for assign in _partitions(len(inner), palette):
             colourings += 1
             colouring = dict(zip(inner, assign))
-            result = solve_colourful(graph, source, sink, k, colouring, budget, cache)
+            result = solve_colourful(graph, source, sink, k, colouring, budget)
+            states += result.stats["states"]
             if best is None or result.optimal_cost < best.optimal_cost:
                 best = result
         best.solver = "colorcoding"
         best.stats = {
             "mode": "exhaustive",
             "colourings": colourings,
-            "tables": len(cache),
+            "states": states,
+            "tables": 0,
         }
         return best
 
@@ -419,11 +377,12 @@ def solve_color_coding(
     if trials < 1:
         raise ValueError("randomized mode needs at least one trial")
     best = None
-    used = 0
+    used = states = 0
     for i in range(trials):
         rng = random.Random(seed * 1_000_003 + i)
         colouring = {v: rng.randint(1, palette) for v in inner}
-        result = solve_colourful(graph, source, sink, k, colouring, budget, cache)
+        result = solve_colourful(graph, source, sink, k, colouring, budget)
+        states += result.stats["states"]
         used = i + 1
         if best is None or result.optimal_cost < best.optimal_cost:
             best = result
@@ -434,6 +393,7 @@ def solve_color_coding(
         "mode": "randomized",
         "trials": trials,
         "trials_used": used,
+        "states": states,
         "failure_prob": failure_prob,
         "note": (
             "cost is a verified upper bound"

@@ -53,7 +53,7 @@ class TemporalCostGraph:
     __slots__ = ("n", "names", "_cost", "_by_source", "_edges", "lifetime")
 
     def __init__(self, n: int, tuples: Iterable[tuple], names: Optional[dict] = None):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         self.n = n
         self.names = dict(names) if names else {}
@@ -63,7 +63,8 @@ class TemporalCostGraph:
         for item in tuples:
             u, v, depart, arrive, cost = item
             for value in (u, v, depart, arrive, cost):
-                if not isinstance(value, int):
+                # type(), not isinstance(): bool subclasses int.
+                if type(value) is not int:
                     raise ValueError(f"non-integer field in tuple {item!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex out of range in tuple {item!r}")
@@ -90,7 +91,7 @@ class TemporalCostGraph:
         self._edges = frozenset(edges)
 
     def _check_vertex(self, v) -> None:
-        if not isinstance(v, int) or not (0 <= v < self.n):
+        if type(v) is not int or not (0 <= v < self.n):
             raise ValueError(f"vertex id {v!r} out of range [0, {self.n})")
 
     def cost(self, u: int, v: int, depart: int, arrive: int):
@@ -271,7 +272,7 @@ class CctoInstance:
         self.graph._check_vertex(self.sink)
         # k above n is allowed and simply infeasible; queries like "visit 5
         # distinct vertices of a 3-vertex graph" must be representable.
-        if not isinstance(self.k, int) or self.k < 1:
+        if type(self.k) is not int or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not isinstance(self.budget, int) or self.budget < 0:
+        if type(self.budget) is not int or self.budget < 0:
             raise ValueError(f"budget must be a non-negative integer, got {self.budget!r}")

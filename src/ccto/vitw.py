@@ -187,8 +187,13 @@ def solve_vitw(instance: CctoInstance, max_width: int = MAX_BAG_WIDTH) -> SolveR
                 steps.append((u, w, depart - shift, arrive - shift))
         steps.reverse()
         witness = steps
-    bound = width_eff * (k + 1) * 2**width_eff * (instance.budget + 1)
-    assert max_live <= bound, "live states exceeded the width bound"
+    # Keys are (vertex in bag, forgotten count 0..k, subset of bag); fuel
+    # is the value, not part of the key, so the budget does not enter.
+    bound = width_eff * (k + 1) * 2**width_eff
+    if max_live > bound:
+        raise AssertionError(
+            f"{max_live} live states exceeded the width bound {bound}"
+        )
     return SolveResult(
         feasible=best <= instance.budget,
         optimal_cost=best,

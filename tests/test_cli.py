@@ -128,6 +128,24 @@ class TestSolve:
         assert "result: not found (failure prob <= 0.001)" in out
         assert "result: infeasible" not in out
 
+    def test_colorcoding_mode_follows_the_solver_cap(self, tmp_path, capsys):
+        # Closed query: 13 inner vertices, 4 inner colours, so 4^13
+        # colourings exceed the exhaustive cap and the CLI must pick the
+        # randomized mode rather than hand the solver a capped run.
+        tuples = []
+        for v in range(1, 14):
+            tuples += [(0, v, 2 * v - 1, 2 * v, 1), (v, 0, 2 * v, 2 * v + 1, 1)]
+        graph = make_graph(14, tuples)
+        path = tmp_path / "star.ccto"
+        save_instance(path, InstanceFile(graph, CctoInstance(graph, 0, 0, 5, 8)))
+        code = main(
+            ["solve", str(path), "--algorithm", "colorcoding", "--format", "structured"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "cost 8\n" in out
+        assert "stat mode randomized\n" in out
+
     def test_every_forced_algorithm_agrees(self, i1_path, capsys):
         costs = {}
         for algorithm in ("oracle", "tree", "subforest", "vitw", "colorcoding"):
@@ -340,6 +358,37 @@ class TestBench:
         err = capsys.readouterr().err
         assert "disagreement" in err
         assert "oracle=0" in err
+
+    def test_randomized_upper_bound_is_no_disagreement(self, tmp_path, capsys):
+        # One randomized trial finds a tour of cost 10 where the optimum
+        # is 7: a valid upper bound, not a conflict.
+        inst = random_instance(seed=0, n=14, horizon=16, density=0.15, shape="general")
+        path = tmp_path / "bound.ccto"
+        query = CctoInstance(inst.graph, 0, 0, 6, 200)
+        save_instance(path, InstanceFile(inst.graph, query))
+        code = main(
+            ["bench", str(path), "--solvers", "oracle,colorcoding",
+             "--trials", "1", "--seed", "3"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"{path} oracle yes 7 " in out
+        assert f"{path} colorcoding yes 10 " in out
+
+    def test_randomized_below_exact_trips_exit_3(self, tmp_path, capsys, monkeypatch):
+        import ccto.cli as cli_module
+
+        def cheap_colorcoding(instance, mode, **_):
+            return SolveResult(
+                feasible=True, optimal_cost=0, witness=[], solver="colorcoding",
+                stats={"mode": "randomized"},
+            )
+
+        monkeypatch.setattr(cli_module, "solve_color_coding", cheap_colorcoding)
+        paths = self._suite(tmp_path, count=1)
+        code = main(["bench", *paths, "--solvers", "oracle,colorcoding"])
+        assert code == 3
+        assert "colorcoding=0 below oracle=" in capsys.readouterr().err
 
     def test_inapplicable_rows_marked_skipped(self, tmp_path, capsys):
         graph = TemporalCostGraph(3, I1_TUPLES)

@@ -168,6 +168,56 @@ class TestSolveColourful:
                 by_orders = min(by_orders, cost)
         assert solve_colourful(i2, 0, 2, 3, {1: 1}, 99).optimal_cost == by_orders
 
+    def test_matches_order_enumeration_on_random_colourings(self):
+        # Reference: split a colourful walk where its last new colour first
+        # appears, at vertex v by time t1. Before the split it is the
+        # cheapest walk showing the colours in that order (tuples arriving
+        # by t1, v the only vertex of the last colour); after it, an
+        # unrestricted final leg from v to the sink.
+        import random
+
+        rng = random.Random(47)
+        found = 0
+        for inst in instances_for_suite(
+            seed=4711, count=40, n_range=(4, 6), horizon_range=(3, 6)
+        ):
+            graph, source, sink, k = inst.graph, inst.source, inst.sink, inst.k
+            inner = sorted(set(range(graph.n)) - {source, sink})
+            palette = k - 2 if source != sink else k - 1
+            if palette <= 0 or palette > len(inner):
+                continue
+            table = all_pairs_min_walk(graph)
+            top = graph.lifetime
+            for _ in range(6):
+                colouring = {v: rng.randint(1, palette) for v in inner}
+                full = {**colouring, source: 0}
+                if source != sink:
+                    full[sink] = palette + 1
+                want = INF
+                tails = itertools.permutations(sorted(set(full.values()) - {0}))
+                if len(set(colouring.values())) < palette:
+                    tails = ()  # an inner colour is unused: nothing is colourful
+                for tail in tails:
+                    last = tail[-1]
+                    for v in sorted(u for u, c in full.items() if c == last):
+                        keep = {u: c for u, c in full.items() if c != last or u == v}
+                        for t1 in range(top + 1):
+                            early = make_graph(
+                                graph.n, [t for t in graph.tuples() if t[3] <= t1]
+                            )
+                            head, _ = ordered_walk_min(early, keep, (0,) + tail)
+                            leg = min(
+                                table.cost(v, sink, a, b)
+                                for a in range(t1, top + 1)
+                                for b in range(a, top + 1)
+                            )
+                            want = min(want, head + leg)
+                got = solve_colourful(graph, source, sink, k, colouring, inst.budget)
+                assert got.optimal_cost == want, (inst, colouring)
+                verify_result(CctoInstance(graph, source, sink, k, inst.budget), got)
+                found += want != INF
+        assert found >= 20
+
     def test_colouring_domain_checked(self, i1):
         with pytest.raises(ValueError):
             solve_colourful(i1, 0, 0, 3, {1: 1}, 8)

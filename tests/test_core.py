@@ -59,6 +59,12 @@ class TestConstruction:
             make_graph(2, [(0, 1, 1, 2, 2**64)])
         make_graph(2, [(0, 1, 1, 2, 2**64 - 1)])
 
+    def test_rejects_bool_fields(self):
+        with pytest.raises(ValueError, match="non-integer"):
+            make_graph(2, [(0, 1, False, True, True)])
+        with pytest.raises(ValueError):
+            make_graph(True, [])
+
     def test_rejects_duplicate_key(self):
         with pytest.raises(ValueError, match="duplicate"):
             make_graph(2, [(0, 1, 1, 2, 1), (0, 1, 1, 2, 3)])
@@ -186,6 +192,14 @@ class TestInstance:
             CctoInstance(i1, 0, 0, 0, 8)
         with pytest.raises(ValueError):
             CctoInstance(i1, 0, 0, -2, 8)
+
+    def test_bools_are_not_integers(self, i1):
+        with pytest.raises(ValueError):
+            CctoInstance(i1, 0, 0, True, 8)
+        with pytest.raises(ValueError):
+            CctoInstance(i1, 0, 0, 2, False)
+        with pytest.raises(ValueError):
+            CctoInstance(i1, False, 0, 2, 8)
 
     def test_k_may_exceed_n(self, i1):
         # "visit more vertices than exist" is a representable, infeasible ask

@@ -171,6 +171,15 @@ class TestSolveVitw:
             assert stats["max_live_states"] <= stats["state_bound"]
             assert stats["width"] <= stats["width_eff"]
 
+    def test_state_bound_ignores_the_budget(self):
+        # Fuel is the value of a state, not part of its key.
+        for inst in instances_for_suite(seed=3307, count=30):
+            stats = solve_vitw(inst).stats
+            if "trivial" in stats:
+                continue
+            width = stats["width_eff"]
+            assert stats["state_bound"] == width * (inst.k + 1) * 2**width
+
     def test_deterministic(self, i1):
         instance = CctoInstance(i1, 0, 0, 3, 8)
         first = solve_vitw(instance)
