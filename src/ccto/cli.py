@@ -16,6 +16,7 @@ import sys
 import time
 
 from .colorcoding import (
+    DEFAULT_FAILURE_PROB,
     MAX_EXHAUSTIVE_COLOURINGS,
     exhaustive_colouring_count,
     solve_color_coding,
@@ -54,7 +55,6 @@ EXIT_ERROR = 2
 EXIT_DISAGREEMENT = 3
 
 AUTO_ORACLE_LIMIT = 10
-DEFAULT_FAILURE_PROB = 1e-3
 
 
 def choose_solver(instance: CctoInstance) -> str:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 INF = math.inf
 
@@ -37,8 +38,23 @@ class CapabilityError(RuntimeError):
     """An instance exceeds a solver's configured size cap."""
 
 
+class _GraphIndex(NamedTuple):
+    """What the static-structure queries read, built in one pass."""
+
+    adjacency: list  # list[set[int]], indexed by vertex
+    traversal: dict  # (min_id, max_id) -> max traversal number
+    connected: bool
+
+
 class TemporalCostGraph:
     """Finite set of costed movement tuples over a common vertex set.
+
+    The static-structure queries (`neighbors`, `is_connected`, `is_tree`,
+    `max_traversal_number`) read an index built from the stored tuples on
+    first use, so construction pays nothing for it. Filling that index is
+    the one internal write after construction: it is idempotent, and two
+    threads racing on it each build an equal index and store it with one
+    attribute assignment, so sharing a graph between threads stays safe.
 
     Args:
         n: number of vertices (ids 0..n-1).
@@ -50,7 +66,7 @@ class TemporalCostGraph:
         ValueError: on malformed or duplicate tuples.
     """
 
-    __slots__ = ("n", "names", "_cost", "_by_source", "_edges", "lifetime")
+    __slots__ = ("n", "names", "_cost", "_by_source", "_edges", "lifetime", "_index")
 
     def __init__(self, n: int, tuples: Iterable[tuple], names: Optional[dict] = None):
         if type(n) is not int or n < 1:
@@ -89,6 +105,7 @@ class TemporalCostGraph:
             moves.sort()
         self._by_source = by_source
         self._edges = frozenset(edges)
+        self._index = None
 
     def _check_vertex(self, v) -> None:
         if type(v) is not int or not (0 <= v < self.n):
@@ -126,24 +143,29 @@ class TemporalCostGraph:
         """Underlying static edges as (min_id, max_id) pairs."""
         return self._edges
 
-    def neighbors(self, u: int) -> set:
-        self._check_vertex(u)
-        out = set()
-        for a, b in self._edges:
-            if a == u:
-                out.add(b)
-            elif b == u:
-                out.add(a)
-        return out
+    def _graph_index(self) -> _GraphIndex:
+        index = self._index
+        if index is None:
+            index = self._index = self._build_index()
+        return index
 
-    def is_connected(self) -> bool:
-        """Connectivity of the underlying static graph (informational)."""
-        if self.n == 1:
-            return True
-        adjacency: dict[int, set] = {v: set() for v in range(self.n)}
-        for a, b in self._edges:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
+    def _build_index(self) -> _GraphIndex:
+        adjacency = [set() for _ in range(self.n)]
+        for u, v in self._edges:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        # Activity selection on every edge at once: time pairs in order of
+        # arrival, each taken when it departs no earlier than the last pair
+        # taken on its edge arrived. A pair stored in both directions is
+        # taken at most once, because its second copy departs before the
+        # first one arrives.
+        traversal: dict[tuple[int, int], int] = {}
+        frontier: dict[tuple[int, int], int] = {}
+        for u, v, depart, arrive in sorted(self._cost, key=itemgetter(3, 2)):
+            edge = (u, v) if u < v else (v, u)
+            if depart >= frontier.get(edge, -1):
+                traversal[edge] = traversal.get(edge, 0) + 1
+                frontier[edge] = arrive
         seen = {0}
         stack = [0]
         while stack:
@@ -151,10 +173,18 @@ class TemporalCostGraph:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == self.n
+        return _GraphIndex(adjacency, traversal, len(seen) == self.n)
+
+    def neighbors(self, u: int) -> set:
+        self._check_vertex(u)
+        return set(self._graph_index().adjacency[u])
+
+    def is_connected(self) -> bool:
+        """Connectivity of the underlying static graph (informational)."""
+        return self._graph_index().connected
 
     def is_tree(self) -> bool:
-        return len(self._edges) == self.n - 1 and self.is_connected()
+        return len(self._edges) == self.n - 1 and self._graph_index().connected
 
     def max_traversal_number(self, u: int, v: int) -> int:
         """Longest chain of usable time pairs on the edge {u, v}.
@@ -169,21 +199,10 @@ class TemporalCostGraph:
         """
         self._check_vertex(u)
         self._check_vertex(v)
-        edge = (u, v) if u < v else (v, u)
-        if edge not in self._edges:
+        number = self._graph_index().traversal.get((u, v) if u < v else (v, u))
+        if number is None:
             raise ValueError(f"{{{u}, {v}}} is not an edge of the graph")
-        pairs = set()
-        for a, b in ((u, v), (v, u)):
-            for key in self._cost:
-                if key[0] == a and key[1] == b:
-                    pairs.add((key[2], key[3]))
-        count = 0
-        frontier = -1
-        for depart, arrive in sorted(pairs, key=lambda p: (p[1], p[0])):
-            if depart >= frontier:
-                count += 1
-                frontier = arrive
-        return count
+        return number
 
 
 @dataclass(frozen=True)

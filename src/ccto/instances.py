@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .core import CctoInstance, TemporalCostGraph
+from .core import COST_MAX, CctoInstance, TemporalCostGraph
 
 FORMAT_VERSION = 1
 
@@ -98,6 +98,8 @@ def parse_instance(text: str) -> InstanceFile:
                 fail(f"need 0 <= depart < arrive, got {depart}, {arrive}")
             if cost < 1:
                 fail(f"cost must be positive, got {cost}")
+            if cost > COST_MAX:
+                fail(f"cost must be at most 2^64-1, got {cost}")
             if (u, v, depart, arrive) in tuple_keys:
                 fail(f"duplicate tuple {u} {v} {depart} {arrive}")
             tuple_keys.add((u, v, depart, arrive))

@@ -23,6 +23,7 @@ NotApplicableError when their structural precondition fails.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 
 from .core import INF, CctoInstance, NotApplicableError, TemporalCostGraph
@@ -37,14 +38,18 @@ def _label_sweep(graph, start, step):
     States are tuples starting (vertex, arrival_time, ...); `step` maps a
     settled state and a stored move (depart, arrive, to, cost) to the next
     state, or None to drop the transition. Every move strictly increases
-    time, so one ascending sweep settles everything; sorted iteration and
-    strict improvement keep backpointers deterministic.
+    time, so settling arrival times in ascending order settles everything;
+    a heap holds the arrival times that occur, so the sweep never visits an
+    empty time. Sorted iteration and strict improvement keep backpointers
+    deterministic.
     """
     labels = {start: 0}
     parent = {}
     by_time = {start[1]: {start}}
-    for t in range(graph.lifetime + 1):
-        for state in sorted(by_time.get(t, ())):
+    pending = [start[1]]
+    while pending:
+        t = heapq.heappop(pending)
+        for state in sorted(by_time.pop(t)):
             base = labels[state]
             v = state[0]
             for move in graph.moves_from(v):
@@ -57,7 +62,11 @@ def _label_sweep(graph, start, step):
                 if candidate < labels.get(nxt, INF):
                     labels[nxt] = candidate
                     parent[nxt] = (state, (v, move[2], move[0], move[1]))
-                    by_time.setdefault(move[1], set()).add(nxt)
+                    bucket = by_time.get(move[1])
+                    if bucket is None:
+                        bucket = by_time[move[1]] = set()
+                        heapq.heappush(pending, move[1])
+                    bucket.add(nxt)
     return labels, parent
 
 
@@ -78,29 +87,20 @@ def _rebuild(parent, start, state):
     return steps
 
 
-def _tree_parents(graph: TemporalCostGraph, root: int) -> dict:
-    """Parent map of the tree rooted at `root` (root maps to None)."""
+def _tree_bfs(graph: TemporalCostGraph, root: int):
+    """Parent and depth maps of the tree rooted at `root` (root maps to
+    parent None, depth 0)."""
     parent = {root: None}
+    depth = {root: 0}
     queue = deque([root])
     while queue:
         u = queue.popleft()
         for w in graph.neighbors(u):
             if w not in parent:
                 parent[w] = u
-                queue.append(w)
-    return parent
-
-
-def _tree_depths(graph: TemporalCostGraph, root: int) -> dict:
-    depth = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors(u):
-            if w not in depth:
                 depth[w] = depth[u] + 1
                 queue.append(w)
-    return depth
+    return parent, depth
 
 
 def _require_tree(graph):
@@ -139,7 +139,7 @@ def solve_tree_closed(instance: CctoInstance) -> SolveResult:
     """
     _check_tree_closed(instance)
     graph, k = instance.graph, instance.k
-    parent = _tree_parents(graph, instance.source)
+    parent, _ = _tree_bfs(graph, instance.source)
     start = (instance.source, 0, 1)
 
     def step(state, move):
@@ -188,7 +188,7 @@ def partition_forest_paths(graph: TemporalCostGraph, subforest, source: int):
         edges.add(edge)
         adjacency.setdefault(edge[0], []).append(edge[1])
         adjacency.setdefault(edge[1], []).append(edge[0])
-    depth = _tree_depths(graph, source)
+    _, depth = _tree_bfs(graph, source)
     paths = []
     assigned = set()
     for first in sorted(adjacency):
@@ -291,7 +291,7 @@ def solve_subforest(
         for a, b in zip(path, path[1:]):
             edge_path[(min(a, b), max(a, b))] = j
 
-    toward_sink = _tree_parents(graph, instance.sink)
+    toward_sink, _ = _tree_bfs(graph, instance.sink)
     anchor_edges = set()
     v = instance.source
     while v != instance.sink:
@@ -343,9 +343,11 @@ def solve_subforest(
 
 def _check_sparse_triples(graph: TemporalCostGraph):
     counts = [0] * graph.n
-    for u, v, _, _, _ in graph.tuples():
-        counts[u] += 1
-        counts[v] += 1
+    for u in range(graph.n):
+        moves = graph.moves_from(u)
+        counts[u] += len(moves)
+        for move in moves:
+            counts[move[2]] += 1
     for vertex, count in enumerate(counts):
         if count > 3:
             label = graph.names.get(vertex, str(vertex))

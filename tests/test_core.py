@@ -1,4 +1,7 @@
+import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +14,7 @@ from ccto.core import (
     validate_walk,
     walk_cost,
 )
+from ccto.instances import from_edge_labels, random_instance
 from conftest import W1, make_graph, random_tuple_set, random_valid_walk
 
 
@@ -111,6 +115,115 @@ class TestTraversalNumber:
                         used[e] = used.get(e, 0) + 1
                 for e, count in used.items():
                     assert count <= limits[e]
+
+
+def scan_neighbors(graph, u):
+    return {b if a == u else a for a, b in graph.edges if u in (a, b)}
+
+
+def scan_connected(graph):
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in scan_neighbors(graph, u) - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == graph.n
+
+
+def scan_traversal_number(graph, u, v):
+    pairs = {
+        (depart, arrive)
+        for a, b, depart, arrive, _ in graph.tuples()
+        if (a, b) in ((u, v), (v, u))
+    }
+    count = 0
+    frontier = -1
+    for depart, arrive in sorted(pairs, key=lambda p: (p[1], p[0])):
+        if depart >= frontier:
+            count += 1
+            frontier = arrive
+    return count
+
+
+def index_test_graphs():
+    rng = random.Random(2024)
+    graphs = []
+    for shape in ("tree", "general"):
+        for _ in range(25):
+            graphs.append(
+                random_instance(
+                    seed=rng.randrange(2**30),
+                    n=rng.randint(1, 9),
+                    horizon=rng.randint(1, 10),
+                    density=rng.uniform(0.05, 0.6),
+                    shape=shape,
+                ).graph
+            )
+    for _ in range(10):
+        n = rng.randint(2, 7)
+        labels = {}
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < 0.4:
+                labels[(u, v)] = rng.sample(range(12), rng.randint(1, 5))
+        graphs.append(from_edge_labels(n, labels))
+    graphs.append(make_graph(4, [(0, 1, 1, 2, 1), (2, 3, 0, 4, 2), (3, 2, 1, 3, 1)]))
+    graphs.append(make_graph(5, [(0, 1, 0, 1, 1), (1, 2, 1, 2, 1)]))
+    graphs.append(make_graph(3, []))
+    graphs.append(make_graph(1, []))
+    return graphs
+
+
+class TestGraphIndex:
+    """The indexed static-structure queries against direct scans."""
+
+    @pytest.mark.parametrize("graph", index_test_graphs())
+    def test_matches_scans(self, graph):
+        for u in range(graph.n):
+            assert graph.neighbors(u) == scan_neighbors(graph, u)
+        connected = scan_connected(graph)
+        assert graph.is_connected() == connected
+        assert graph.is_tree() == (len(graph.edges) == graph.n - 1 and connected)
+        for u, v in itertools.permutations(range(graph.n), 2):
+            if (min(u, v), max(u, v)) in graph.edges:
+                assert graph.max_traversal_number(u, v) == scan_traversal_number(graph, u, v)
+            else:
+                with pytest.raises(ValueError, match="not an edge"):
+                    graph.max_traversal_number(u, v)
+
+    def test_vertex_ids_checked(self, i1):
+        with pytest.raises(ValueError, match="out of range"):
+            i1.neighbors(3)
+        with pytest.raises(ValueError, match="out of range"):
+            i1.max_traversal_number(0, -1)
+
+    def test_neighbors_returns_a_copy(self, i1):
+        i1.neighbors(1).clear()
+        assert i1.neighbors(1) == {0, 2}
+
+    def test_racing_first_use_agrees(self):
+        graph = random_instance(seed=5, n=40, horizon=30, density=0.3, shape="tree").graph
+        expected = [scan_traversal_number(graph, u, v) for u, v in sorted(graph.edges)]
+        answers = []
+
+        def query():
+            answers.append(
+                (graph.is_tree(), [graph.max_traversal_number(u, v) for u, v in sorted(graph.edges)])
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=query) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [(True, expected)] * len(threads)
 
 
 class TestWalks:

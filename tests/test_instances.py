@@ -100,6 +100,12 @@ class TestParsing:
         assert f"line {line}" in str(err.value)
         assert needle in str(err.value)
 
+    def test_oversized_cost_carries_line_number(self):
+        text = "version 1\nn 2\ntuple 0 1 0 1 99999999999999999999999\n"
+        with pytest.raises(ValueError, match="^line 3: cost must be at most"):
+            parse_instance(text)
+        parse_instance(f"version 1\nn 2\ntuple 0 1 0 1 {2**64 - 1}\n")
+
     def test_empty_and_headerless_files(self):
         with pytest.raises(ValueError, match="version"):
             parse_instance("")

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from ccto import colorcoding, tree_solvers
+from ccto.colorcoding import solve_color_coding
 from ccto.core import INF, CctoInstance, NotApplicableError
 from ccto.oracle import solve_exact
 from ccto.result import verify_result
@@ -331,3 +333,111 @@ class TestSparseTriples:
             assert result.feasible == exact.feasible
             verify_result(instance, result)
             checked += 1
+
+
+def dense_label_sweep(graph, start, step):
+    """Reference sweep stepping through every time unit 0..lifetime."""
+    labels = {start: 0}
+    parent = {}
+    by_time = {start[1]: {start}}
+    for t in range(graph.lifetime + 1):
+        for state in sorted(by_time.get(t, ())):
+            base = labels[state]
+            v = state[0]
+            for move in graph.moves_from(v):
+                if move[0] < t:
+                    continue
+                nxt = step(state, move)
+                if nxt is None:
+                    continue
+                candidate = base + move[3]
+                if candidate < labels.get(nxt, INF):
+                    labels[nxt] = candidate
+                    parent[nxt] = (state, (v, move[2], move[0], move[1]))
+                    by_time.setdefault(move[1], set()).add(nxt)
+    return labels, parent
+
+
+class TestEventSweep:
+    def test_matches_dense_sweep_for_every_solver(self, monkeypatch):
+        sweeps = []
+        event_sweep = tree_solvers._label_sweep
+
+        def both(graph, start, step):
+            got = event_sweep(graph, start, step)
+            sweeps.append((got, dense_label_sweep(graph, start, step)))
+            return got
+
+        monkeypatch.setattr(tree_solvers, "_label_sweep", both)
+        monkeypatch.setattr(colorcoding, "_label_sweep", both)
+        rng = random.Random(4411)
+        solved = set()
+        for inst in random_tree_instances(93, 40, n_range=(3, 7), horizon_range=(4, 12)):
+            closed = CctoInstance(inst.graph, inst.source, inst.source, inst.k, inst.budget)
+            if tree_closed_applicable(closed):
+                solve_tree_closed(closed)
+                solved.add("tree")
+            busy = [e for e in inst.graph.edges if inst.graph.max_traversal_number(*e) > 3]
+            if subforest_applicable(inst, busy):
+                solve_subforest(inst, busy)
+                solved.add("subforest")
+            if inst.graph.n <= 5:
+                solve_color_coding(inst, "exhaustive")
+                solved.add("colour")
+        while len(solved) < 4:
+            n = rng.randint(2, 7)
+            graph = make_graph(n, random_tuple_set(rng, n, 9, rng.randint(1, n + 2)))
+            if sparse_triples_applicable(graph):
+                solve_sparse_triples(CctoInstance(graph, 0, rng.randrange(n), rng.randint(1, n), 20))
+                solved.add("sparse")
+        assert len(sweeps) > 40
+        for (labels, parent), (dense_labels, dense_parent) in sweeps:
+            assert labels == dense_labels
+            assert parent == dense_parent
+
+
+def scaled(instance, factor):
+    graph = make_graph(
+        instance.graph.n,
+        [(u, v, d * factor, a * factor, c) for u, v, d, a, c in instance.graph.tuples()],
+    )
+    return CctoInstance(graph, instance.source, instance.sink, instance.k, instance.budget)
+
+
+class TestHugeTimestamps:
+    """Solve time follows the stored tuples, not the length of the time axis."""
+
+    FACTOR = 10**12
+
+    def assert_same_answer(self, solve, instance):
+        twin = scaled(instance, self.FACTOR)
+        assert twin.graph.lifetime >= self.FACTOR
+        expected, got = solve(instance), solve(twin)
+        assert got.optimal_cost == expected.optimal_cost
+        assert got.stats["states"] == expected.stats["states"]
+        verify_result(twin, got)
+
+    def test_sparse_chain(self):
+        tuples = [(i, i + 1, 2 * i, 2 * i + 1, i + 1) for i in range(5)]
+        tuples.append((5, 4, 11, 12, 1))
+        instance = CctoInstance(make_graph(6, tuples), 0, 4, 6, 30)
+        assert solve_sparse_triples(instance).optimal_cost == 16
+        self.assert_same_answer(solve_sparse_triples, instance)
+
+    def test_tree(self):
+        tuples = [
+            (0, 1, 0, 1, 2),
+            (0, 1, 1, 2, 4),
+            (1, 2, 1, 2, 1),
+            (2, 1, 2, 3, 1),
+            (1, 3, 3, 4, 2),
+            (3, 1, 4, 5, 1),
+            (1, 0, 5, 6, 1),
+            (0, 4, 6, 7, 3),
+            (4, 0, 7, 8, 1),
+        ]
+        instance = CctoInstance(make_graph(5, tuples), 0, 0, 5, 20)
+        assert solve_tree_closed(instance).optimal_cost == 12
+        assert solve_exact(instance).optimal_cost == 12
+        self.assert_same_answer(solve_tree_closed, instance)
+        self.assert_same_answer(solve_subforest, instance)
