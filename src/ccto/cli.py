@@ -47,7 +47,7 @@ from .tree_solvers import (
     subforest_applicable,
     tree_closed_applicable,
 )
-from .vitw import MAX_BAG_WIDTH, solve_vitw, vitw_sequence
+from .vitw import MAX_BAG_WIDTH, bag_width, solve_vitw, vitw_sequence
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -67,7 +67,7 @@ def choose_solver(instance: CctoInstance) -> str:
         return "sparse"
     if tree_closed_applicable(instance):
         return "tree"
-    if vitw_sequence(graph).width <= MAX_BAG_WIDTH:
+    if bag_width(graph) <= MAX_BAG_WIDTH:
         return "vitw"
     return "colorcoding"
 
@@ -195,9 +195,7 @@ def cmd_analyze(args) -> int:
         if bag:
             members = " ".join(_label(graph, v) for v in sorted(bag))
             print(f"bag {t} {members}", file=out)
-    tree_ok = graph.is_tree() and all(
-        graph.max_traversal_number(u, v) <= 3 for u, v in graph.edges
-    )
+    tree_ok = graph.is_tree() and max(graph.traversal_numbers().values(), default=0) <= 3
     if file.query is not None:
         tree_ok = tree_closed_applicable(file.query)
         subforest_ok = subforest_applicable(file.query, file.subforest)

@@ -14,9 +14,11 @@ threads; all query methods are pure.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 INF = math.inf
 
@@ -38,6 +40,27 @@ class CapabilityError(RuntimeError):
     """An instance exceeds a solver's configured size cap."""
 
 
+def tuple_problem(item: tuple, n: int, stored) -> Optional[str]:
+    """Why `item` cannot join a graph on n vertices that already stores the
+    (from, to, depart, arrive) keys in `stored`; None if it can."""
+    u, v, depart, arrive, cost = item
+    if not (type(u) is type(v) is type(depart) is type(arrive) is type(cost) is int):
+        return f"non-integer field in tuple {item!r}"
+    if not (0 <= u < n and 0 <= v < n):
+        return f"vertex out of range in tuple {item!r}"
+    if u == v:
+        return f"self-loop tuple {item!r}; waiting is implicit"
+    if not 0 <= depart < arrive:
+        return f"need 0 <= depart < arrive in tuple {item!r}"
+    if cost < 1:
+        return f"cost must be positive in tuple {item!r}"
+    if cost > COST_MAX:
+        return f"cost must be at most 2^64-1 in tuple {item!r}"
+    if (u, v, depart, arrive) in stored:
+        return f"duplicate tuple key {(u, v, depart, arrive)}"
+    return None
+
+
 class _GraphIndex(NamedTuple):
     """What the static-structure queries read, built in one pass."""
 
@@ -49,12 +72,14 @@ class _GraphIndex(NamedTuple):
 class TemporalCostGraph:
     """Finite set of costed movement tuples over a common vertex set.
 
+    Each tuple is validated once, here, in the same pass that stores it.
     The static-structure queries (`neighbors`, `is_connected`, `is_tree`,
-    `max_traversal_number`) read an index built from the stored tuples on
-    first use, so construction pays nothing for it. Filling that index is
-    the one internal write after construction: it is idempotent, and two
-    threads racing on it each build an equal index and store it with one
-    attribute assignment, so sharing a graph between threads stays safe.
+    `traversal_numbers`, `max_traversal_number`) read an index built from
+    the stored tuples on first use, so construction pays nothing for it.
+    Filling that index is the one internal write after construction: it is
+    idempotent, and two threads racing on it each build an equal index and
+    store it with one attribute assignment, so sharing a graph between
+    threads stays safe.
 
     Args:
         n: number of vertices (ids 0..n-1).
@@ -63,7 +88,8 @@ class TemporalCostGraph:
         names: optional mapping from vertex id to display name.
 
     Raises:
-        ValueError: on malformed or duplicate tuples.
+        ValueError: on malformed or duplicate tuples, with the reason from
+            `tuple_problem`.
     """
 
     __slots__ = ("n", "names", "_cost", "_by_source", "_edges", "lifetime", "_index")
@@ -76,35 +102,31 @@ class TemporalCostGraph:
         for vid in self.names:
             self._check_vertex(vid)
         cost_map: dict[tuple[int, int, int, int], int] = {}
+        by_source: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
+        edges = set()
+        lifetime = 0
         for item in tuples:
             u, v, depart, arrive, cost = item
-            for value in (u, v, depart, arrive, cost):
-                # type(), not isinstance(): bool subclasses int.
-                if type(value) is not int:
-                    raise ValueError(f"non-integer field in tuple {item!r}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex out of range in tuple {item!r}")
-            if u == v:
-                raise ValueError(f"self-loop tuple {item!r}; waiting is implicit")
-            if not (0 <= depart < arrive):
-                raise ValueError(f"need 0 <= depart < arrive in tuple {item!r}")
-            if not (1 <= cost <= COST_MAX):
-                raise ValueError(f"cost must be in [1, 2^64-1] in tuple {item!r}")
             key = (u, v, depart, arrive)
-            if key in cost_map:
-                raise ValueError(f"duplicate tuple key {key}")
+            # type(), not isinstance(): bool subclasses int. The type test
+            # comes first so that the comparisons only ever see ints.
+            if not (
+                type(u) is type(v) is type(depart) is type(arrive) is type(cost) is int
+                and 0 <= u < n and 0 <= v < n and u != v and 0 <= depart < arrive
+                and 1 <= cost <= COST_MAX and key not in cost_map
+            ):
+                raise ValueError(tuple_problem(item, n, cost_map))
             cost_map[key] = cost
-        self._cost = cost_map
-        self.lifetime = max((key[3] for key in cost_map), default=0)
-        by_source: dict[int, list[tuple[int, int, int, int]]] = {}
-        edges = set()
-        for (u, v, depart, arrive), cost in cost_map.items():
-            by_source.setdefault(u, []).append((depart, arrive, v, cost))
+            by_source[u].append((depart, arrive, v, cost))
             edges.add((u, v) if u < v else (v, u))
+            if arrive > lifetime:
+                lifetime = arrive
         for moves in by_source.values():
             moves.sort()
-        self._by_source = by_source
+        self._cost = cost_map
+        self._by_source = dict(by_source)  # a plain dict: lookups never insert
         self._edges = frozenset(edges)
+        self.lifetime = lifetime
         self._index = None
 
     def _check_vertex(self, v) -> None:
@@ -185,6 +207,11 @@ class TemporalCostGraph:
 
     def is_tree(self) -> bool:
         return len(self._edges) == self.n - 1 and self._graph_index().connected
+
+    def traversal_numbers(self) -> Mapping:
+        """Read-only map from every edge (min_id, max_id) to its
+        `max_traversal_number`."""
+        return MappingProxyType(self._graph_index().traversal)
 
     def max_traversal_number(self, u: int, v: int) -> int:
         """Longest chain of usable time pairs on the edge {u, v}.

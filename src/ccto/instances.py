@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .core import COST_MAX, CctoInstance, TemporalCostGraph
+from .core import CctoInstance, TemporalCostGraph, tuple_problem
 
 FORMAT_VERSION = 1
 
@@ -29,115 +29,119 @@ class InstanceFile:
     subforest: tuple = ()
 
 
+def _fail(lineno, message):
+    raise ValueError(f"line {lineno}: {message}")
+
+
+def _ints(lineno, values):
+    try:
+        return [int(v) for v in values]
+    except ValueError:
+        _fail(lineno, f"expected integers, got {' '.join(values)!r}")
+
+
 def parse_instance(text: str) -> InstanceFile:
-    """Parse the text format, reporting errors with their line number."""
+    """Parse the text format, reporting errors with their line number.
+
+    `tuple` lines are only converted to integers: the graph constructor
+    validates the tuples, and only when it rejects one is `tuple_problem`
+    rerun here to find its line. So any other bad line is reported first,
+    even one after a bad tuple.
+    """
     version = None
     n = None
     names: dict[int, str] = {}
     tuples = []
-    tuple_keys = set()
+    tuple_lines = []
     query_fields = None
     query_line = None
-    subforest = []
     subforest_lines = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
-
-        def fail(message):
-            raise ValueError(f"line {lineno}: {message}")
-
-        def ints(values):
+        # The common case first; n is only ever set after version.
+        if kind == "tuple" and n is not None:
+            if len(fields) != 6:
+                _fail(lineno, "tuple takes from, to, depart, arrive, cost")
             try:
-                return [int(v) for v in values]
+                item = (int(fields[1]), int(fields[2]), int(fields[3]),
+                        int(fields[4]), int(fields[5]))
             except ValueError:
-                fail(f"expected integers, got {' '.join(values)!r}")
-
+                _ints(lineno, fields[1:])  # raises, quoting the fields
+            tuples.append(item)
+            tuple_lines.append(lineno)
+            continue
         if version is None and kind != "version":
-            fail("file must start with a version directive")
+            _fail(lineno, "file must start with a version directive")
         if kind == "version":
             if version is not None:
-                fail("duplicate version directive")
+                _fail(lineno, "duplicate version directive")
             if len(fields) != 2 or fields[1] != str(FORMAT_VERSION):
-                fail(f"unsupported version {' '.join(fields[1:])!r}")
+                _fail(lineno, f"unsupported version {' '.join(fields[1:])!r}")
             version = FORMAT_VERSION
             continue
         if kind == "n":
             if n is not None:
-                fail("duplicate n directive")
+                _fail(lineno, "duplicate n directive")
             if len(fields) != 2:
-                fail("n takes exactly one value")
-            (n,) = ints(fields[1:])
+                _fail(lineno, "n takes exactly one value")
+            (n,) = _ints(lineno, fields[1:])
             if n < 1:
-                fail(f"vertex count must be positive, got {n}")
+                _fail(lineno, f"vertex count must be positive, got {n}")
             continue
         if n is None:
-            fail(f"{kind} directive before n")
+            _fail(lineno, f"{kind} directive before n")
         if kind == "name":
             if len(fields) < 3:
-                fail("name takes a vertex and a label")
-            (vertex,) = ints(fields[1:2])
+                _fail(lineno, "name takes a vertex and a label")
+            (vertex,) = _ints(lineno, fields[1:2])
             if not 0 <= vertex < n:
-                fail(f"vertex {vertex} out of range")
+                _fail(lineno, f"vertex {vertex} out of range")
             if vertex in names:
-                fail(f"duplicate name for vertex {vertex}")
+                _fail(lineno, f"duplicate name for vertex {vertex}")
             names[vertex] = " ".join(fields[2:])
-        elif kind == "tuple":
-            if len(fields) != 6:
-                fail("tuple takes from, to, depart, arrive, cost")
-            u, v, depart, arrive, cost = ints(fields[1:])
-            if not (0 <= u < n and 0 <= v < n):
-                fail(f"vertex out of range in {line!r}")
-            if u == v:
-                fail("self-loop tuples are not allowed")
-            if not 0 <= depart < arrive:
-                fail(f"need 0 <= depart < arrive, got {depart}, {arrive}")
-            if cost < 1:
-                fail(f"cost must be positive, got {cost}")
-            if cost > COST_MAX:
-                fail(f"cost must be at most 2^64-1, got {cost}")
-            if (u, v, depart, arrive) in tuple_keys:
-                fail(f"duplicate tuple {u} {v} {depart} {arrive}")
-            tuple_keys.add((u, v, depart, arrive))
-            tuples.append((u, v, depart, arrive, cost))
         elif kind == "query":
             if query_fields is not None:
-                fail("duplicate query directive")
+                _fail(lineno, "duplicate query directive")
             if len(fields) != 5:
-                fail("query takes source, sink, k, budget")
-            query_fields = ints(fields[1:])
+                _fail(lineno, "query takes source, sink, k, budget")
+            query_fields = _ints(lineno, fields[1:])
             query_line = lineno
         elif kind == "subforest":
             if len(fields) != 3:
-                fail("subforest takes two endpoints")
-            u, v = ints(fields[1:])
+                _fail(lineno, "subforest takes two endpoints")
+            u, v = _ints(lineno, fields[1:])
             if not (0 <= u < n and 0 <= v < n):
-                fail(f"vertex out of range in {line!r}")
+                _fail(lineno, f"vertex out of range in {' '.join(fields)!r}")
             if u == v:
-                fail("subforest edge endpoints must differ")
+                _fail(lineno, "subforest edge endpoints must differ")
             edge = (min(u, v), max(u, v))
             if edge in subforest_lines:
-                fail(f"duplicate subforest edge {edge[0]} {edge[1]}")
+                _fail(lineno, f"duplicate subforest edge {edge[0]} {edge[1]}")
             subforest_lines[edge] = lineno
-            subforest.append(edge)
         else:
-            fail(f"unknown directive {kind!r}")
+            _fail(lineno, f"unknown directive {kind!r}")
 
     if version is None:
         raise ValueError("empty file: missing version directive")
     if n is None:
         raise ValueError("missing n directive")
-    graph = TemporalCostGraph(n, tuples, names or None)
+    try:
+        graph = TemporalCostGraph(n, tuples, names or None)
+    except ValueError:
+        stored = set()
+        for item, lineno in zip(tuples, tuple_lines):
+            problem = tuple_problem(item, n, stored)
+            if problem is not None:
+                raise ValueError(f"line {lineno}: {problem}") from None
+            stored.add(item[:4])
+        raise
     for edge, lineno in subforest_lines.items():
         if edge not in graph.edges:
-            raise ValueError(
-                f"line {lineno}: subforest edge {edge[0]} {edge[1]} "
-                "is not an edge of the graph"
-            )
+            _fail(lineno, f"subforest edge {edge[0]} {edge[1]} is not an edge of the graph")
     query = None
     if query_fields is not None:
         source, sink, k, budget = query_fields
@@ -145,7 +149,7 @@ def parse_instance(text: str) -> InstanceFile:
             query = CctoInstance(graph, source, sink, k, budget)
         except ValueError as exc:
             raise ValueError(f"line {query_line}: {exc}") from None
-    return InstanceFile(graph, query, tuple(sorted(subforest)))
+    return InstanceFile(graph, query, tuple(sorted(subforest_lines)))
 
 
 def serialize_instance(inst: InstanceFile) -> str:

@@ -108,16 +108,21 @@ def _require_tree(graph):
         raise NotApplicableError("the underlying graph is not a tree")
 
 
+def _check_traversals(numbers, what):
+    """Raise for the smallest edge of `numbers` (edge -> traversal
+    number) admitting more than three traversals."""
+    if numbers and max(numbers.values()) > 3:
+        u, v = min(edge for edge, number in numbers.items() if number > 3)
+        raise NotApplicableError(
+            f"edge ({u}, {v}){what} admits {numbers[u, v]} traversals, more than 3"
+        )
+
+
 def _check_tree_closed(instance: CctoInstance):
     _require_tree(instance.graph)
     if instance.source != instance.sink:
         raise NotApplicableError("closed-walk solver needs source = sink")
-    for u, v in sorted(instance.graph.edges):
-        number = instance.graph.max_traversal_number(u, v)
-        if number > 3:
-            raise NotApplicableError(
-                f"edge ({u}, {v}) admits {number} traversals, more than 3"
-            )
+    _check_traversals(instance.graph.traversal_numbers(), "")
 
 
 def tree_closed_applicable(instance: CctoInstance) -> bool:
@@ -238,15 +243,11 @@ def _check_subforest(instance, edges, paths, max_paths):
         raise NotApplicableError(
             f"subforest has {len(paths)} leaf paths, cap is {max_paths}"
         )
-    for u, v in sorted(instance.graph.edges):
-        if (u, v) in edges:
-            continue
-        number = instance.graph.max_traversal_number(u, v)
-        if number > 3:
-            raise NotApplicableError(
-                f"edge ({u}, {v}) outside the subforest admits {number} "
-                "traversals, more than 3"
-            )
+    numbers = instance.graph.traversal_numbers()
+    _check_traversals(
+        {edge: numbers[edge] for edge in numbers if edge not in edges},
+        " outside the subforest",
+    )
 
 
 def subforest_applicable(instance, subforest=(), max_paths=MAX_SUBFOREST_PATHS):

@@ -26,26 +26,48 @@ class VitwSequence:
     width: int
 
 
+def _live_intervals(graph: TemporalCostGraph) -> dict:
+    """Vertex -> (earliest arrival, latest departure), where not empty."""
+    first_arrival: dict[int, int] = {}
+    last_departure: dict[int, int] = {}
+    for u in range(graph.n):
+        for depart, arrive, v, _ in graph.moves_from(u):  # sorted by depart
+            last_departure[u] = depart
+            first_arrival[v] = min(arrive, first_arrival.get(v, arrive))
+    return {
+        v: (start, last_departure[v])
+        for v, start in first_arrival.items()
+        if start <= last_departure.get(v, -1)
+    }
+
+
 def vitw_sequence(graph: TemporalCostGraph) -> VitwSequence:
     """Bags H_t = vertices with an arrival <= t and a departure >= t.
 
     Vertices missing either side appear in no bag; otherwise membership is
     exactly the interval [earliest arrival, latest departure].
     """
-    first_arrival: dict[int, int] = {}
-    last_departure: dict[int, int] = {}
-    for u, v, depart, arrive, _cost in graph.tuples():
-        if depart > last_departure.get(u, -1):
-            last_departure[u] = depart
-        if arrive < first_arrival.get(v, graph.lifetime + 1):
-            first_arrival[v] = arrive
     bags = [set() for _ in range(graph.lifetime + 1)]
-    for v, start in first_arrival.items():
-        stop = last_departure.get(v, -1)
+    for v, (start, stop) in _live_intervals(graph).items():
         for t in range(start, stop + 1):
             bags[t].add(v)
     frozen = [frozenset(bag) for bag in bags]
     return VitwSequence(frozen, max((len(b) for b in frozen), default=0))
+
+
+def bag_width(graph: TemporalCostGraph) -> int:
+    """`vitw_sequence(graph).width` from one sweep over the sorted interval
+    ends, O(m + n log n) for m stored tuples whatever the lifetime."""
+    # At equal times a vertex leaving (-1) sorts before one arriving.
+    events = sorted(
+        end for start, stop in _live_intervals(graph).values()
+        for end in ((start, 1), (stop + 1, -1))
+    )
+    width = live = 0
+    for _, delta in events:
+        live += delta
+        width = max(width, live)
+    return width
 
 
 def _trivial(instance):

@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
+import random
+
 import pytest
 
 from ccto.cli import _colorcoding_mode, choose_solver, main
 from ccto.core import CctoInstance, TemporalCostGraph
-from ccto.instances import InstanceFile, random_instance, save_instance
+from ccto.instances import InstanceFile, from_edge_labels, random_instance, save_instance
 from ccto.result import SolveResult
+from ccto.vitw import bag_width, vitw_sequence
 
 from conftest import I1_TUPLES, make_graph
 
@@ -404,3 +407,53 @@ class TestBench:
         path.write_text("version 1\nn 2\ntuple 0 1 1 2 1\n")
         assert main(["bench", str(path)]) == 2
         assert "no query" in capsys.readouterr().err
+
+
+def _dispatch_instances():
+    """Seeded instances past the oracle limit that reach every branch of
+    dispatch after the oracle."""
+    for seed in range(60):
+        shape = "general" if seed % 2 else "tree"
+        density = (0.05, 0.15, 0.5)[seed % 3]
+        yield random_instance(seed=seed, n=11 + seed % 5, horizon=8, density=density, shape=shape)
+    for seed in range(10):
+        # Labelled trees with closed queries, as the tree solver wants.
+        rng = random.Random(seed)
+        n = 12 + seed
+        labels = {(rng.randrange(v), v): rng.sample(range(2 * n), 2) for v in range(1, n)}
+        yield CctoInstance(from_edge_labels(n, labels), 0, 0, 4, 2 * n)
+
+
+class TestDispatchBagWidth:
+    def test_interval_width_matches_the_bag_sequence(self):
+        for seed in range(300):
+            inst = random_instance(
+                seed=seed, n=2 + seed % 13, horizon=1 + seed % 9,
+                density=(0.05, 0.2, 0.5)[seed % 3],
+                shape="general" if seed % 2 else "tree",
+            )
+            assert bag_width(inst.graph) == vitw_sequence(inst.graph).width, seed
+        assert bag_width(make_graph(3, [])) == vitw_sequence(make_graph(3, [])).width == 0
+
+    def test_scaled_twin_dispatches_the_same(self):
+        seen = set()
+        for inst in _dispatch_instances():
+            g = inst.graph
+            twin = TemporalCostGraph(
+                g.n, [(u, v, d * 1000, a * 1000, c) for u, v, d, a, c in g.tuples()]
+            )
+            name = choose_solver(inst)
+            assert choose_solver(
+                CctoInstance(twin, inst.source, inst.sink, inst.k, inst.budget)
+            ) == name
+            seen.add(name)
+        assert {"sparse", "tree", "vitw", "colorcoding"} <= seen
+
+    def test_dispatch_never_builds_the_bag_sequence(self, monkeypatch):
+        expected = [choose_solver(inst) for inst in _dispatch_instances()]
+
+        def refuse(graph):
+            raise AssertionError("dispatch built the per-time bags")
+
+        monkeypatch.setattr("ccto.cli.vitw_sequence", refuse)
+        assert [choose_solver(inst) for inst in _dispatch_instances()] == expected

@@ -11,6 +11,7 @@ from ccto.core import (
     CctoInstance,
     TemporalCostGraph,
     distinct_vertices,
+    tuple_problem,
     validate_walk,
     walk_cost,
 )
@@ -325,3 +326,57 @@ class TestInstance:
     def test_vertex_ids_checked(self, i1):
         with pytest.raises(ValueError):
             CctoInstance(i1, 0, 5, 2, 3)
+
+
+class TestSinglePassValidation:
+    """The constructor's combined check and `tuple_problem` agree."""
+
+    BAD = [
+        ((0, 1, 1.0, 2, 1), "non-integer"),
+        ((0, "1", 1, 2, 1), "non-integer"),
+        ((0, 1, 1, 2, True), "non-integer"),
+        ((0, 4, 1, 2, 1), "vertex out of range"),
+        ((-1, 1, 1, 2, 1), "vertex out of range"),
+        ((2, 2, 1, 2, 1), "self-loop"),
+        ((0, 1, 3, 3, 1), "need 0 <= depart < arrive"),
+        ((0, 1, -2, 3, 1), "need 0 <= depart < arrive"),
+        ((0, 1, 1, 2, 0), "cost must be positive"),
+        ((0, 1, 1, 2, 2**64), "cost must be at most 2^64-1"),
+        ((1, 2, 2, 3, 9), "duplicate tuple key"),
+    ]
+
+    @pytest.mark.parametrize("bad, reason", BAD)
+    def test_bad_tuple_among_good_ones(self, bad, reason):
+        good = [(0, 1, 1, 2, 1), (1, 2, 2, 3, 1), (2, 3, 3, 4, 1), (3, 0, 4, 5, 1)]
+        for position in range(len(good) + 1):
+            if reason == "duplicate tuple key" and position < 2:
+                continue
+            tuples = good[:position] + [bad] + good[position:]
+            with pytest.raises(ValueError) as err:
+                make_graph(4, tuples)
+            message = str(err.value)
+            assert message.startswith(reason), message
+            assert message == tuple_problem(bad, 4, {t[:4] for t in good[:position]})
+
+    def test_good_tuples_have_no_problem(self, i1):
+        stored = set()
+        for item in i1.tuples():
+            assert tuple_problem(item, i1.n, stored) is None
+            stored.add(item[:4])
+
+    def test_one_pass_fills_every_view(self):
+        tuples = [(2, 0, 4, 9, 1), (0, 1, 3, 4, 2), (0, 1, 1, 2, 5), (1, 0, 2, 3, 1)]
+        graph = make_graph(3, iter(tuples))
+        assert sorted(graph.tuples()) == sorted(tuples)
+        assert graph.moves_from(0) == [(1, 2, 1, 5), (3, 4, 1, 2)]
+        assert graph.moves_from(1) == [(2, 3, 0, 1)]
+        assert graph.edges == {(0, 1), (0, 2)}
+        assert graph.lifetime == 9
+
+    @pytest.mark.parametrize("graph", index_test_graphs())
+    def test_traversal_numbers_is_the_per_edge_map(self, graph):
+        numbers = graph.traversal_numbers()
+        assert set(numbers) == graph.edges
+        assert all(numbers[e] == graph.max_traversal_number(*e) for e in graph.edges)
+        with pytest.raises(TypeError):
+            numbers[next(iter(numbers), (0, 1))] = 99

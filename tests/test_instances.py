@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -267,3 +268,72 @@ class TestBudgetPrecheck:
             result = budget_precheck(inst)
             if result is not None:
                 assert not solve_exact(inst).feasible
+
+
+class TestTupleValidationLines:
+    """Tuples are checked once, by the graph constructor; the parser still
+    names the line of the first tuple the constructor rejects."""
+
+    GOOD = serialize_instance(
+        InstanceFile(random_instance(seed=31, n=6, horizon=12, density=0.4).graph)
+    )
+
+    def _with_line(self, bad, position):
+        lines = self.GOOD.splitlines()
+        assert len(lines) > 20 and position <= len(lines)
+        lines.insert(position, bad)
+        return "\n".join(lines) + "\n", position + 1
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ("tuple 0 6 1 2 1", "vertex out of range"),
+            ("tuple 7 1 1 2 1", "vertex out of range"),
+            ("tuple 2 2 1 2 1", "self-loop"),
+            ("tuple 0 1 4 4 1", "need 0 <= depart < arrive"),
+            ("tuple 0 1 5 4 1", "need 0 <= depart < arrive"),
+            ("tuple 0 1 -1 4 1", "need 0 <= depart < arrive"),
+            ("tuple 0 1 20 21 0", "cost must be positive"),
+            ("tuple 0 1 20 21 -3", "cost must be positive"),
+            (f"tuple 0 1 20 21 {2**64}", "cost must be at most 2^64-1"),
+            ("tuple 0 1 20 2.5 1", "expected integers"),
+            ("tuple 0 1 20 21", "tuple takes"),
+        ],
+    )
+    @pytest.mark.parametrize("position", [3, 11, -1])
+    def test_one_bad_tuple_among_many(self, bad, reason, position):
+        if position < 0:
+            position = len(self.GOOD.splitlines())
+        text, lineno = self._with_line(bad, position)
+        with pytest.raises(ValueError, match=rf"^line {lineno}: {re.escape(reason)}"):
+            parse_instance(text)
+
+    def test_duplicate_is_reported_at_its_second_occurrence(self):
+        lines = self.GOOD.splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("tuple"))
+        fields = lines[first].split()
+        fields[5] = str(int(fields[5]) + 1)
+        text, lineno = self._with_line(" ".join(fields), len(lines) - 2)
+        assert lineno > first + 1
+        with pytest.raises(ValueError, match=rf"^line {lineno}: duplicate tuple key"):
+            parse_instance(text)
+
+    def test_first_bad_tuple_wins(self):
+        text, _ = self._with_line("tuple 2 2 1 2 1", 15)
+        lines = text.splitlines()
+        lines.insert(8, "tuple 0 1 0 1 0")
+        with pytest.raises(ValueError, match=r"^line 9: cost must be positive"):
+            parse_instance("\n".join(lines) + "\n")
+
+    def test_later_bad_directive_is_reported_before_a_bad_tuple(self):
+        # Tuples are validated when the graph is built, after every line has
+        # been read, so a malformed line of any other kind is found first.
+        text, _ = self._with_line("tuple 2 2 1 2 1", 4)
+        text += "walk 0 1\n"
+        lineno = len(text.splitlines())
+        with pytest.raises(ValueError, match=rf"^line {lineno}: unknown directive"):
+            parse_instance(text)
+
+    def test_good_file_parses_to_the_same_tuples(self):
+        graph = parse_instance(self.GOOD).graph
+        assert serialize_instance(InstanceFile(graph)) == self.GOOD

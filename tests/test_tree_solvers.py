@@ -7,6 +7,7 @@ import pytest
 from ccto import colorcoding, tree_solvers
 from ccto.colorcoding import solve_color_coding
 from ccto.core import INF, CctoInstance, NotApplicableError
+from ccto.instances import from_edge_labels
 from ccto.oracle import solve_exact
 from ccto.result import verify_result
 from ccto.tree_solvers import (
@@ -441,3 +442,16 @@ class TestHugeTimestamps:
         assert solve_exact(instance).optimal_cost == 12
         self.assert_same_answer(solve_tree_closed, instance)
         self.assert_same_answer(solve_subforest, instance)
+
+
+class TestTraversalPrecondition:
+    def test_smallest_busy_edge_is_named(self):
+        labels = {(0, 1): [1], (0, 2): [2, 4, 6, 8, 10], (0, 3): [3, 5, 7, 9]}
+        graph = from_edge_labels(4, labels)
+        with pytest.raises(NotApplicableError, match=r"^edge \(0, 2\) admits 5 traversals"):
+            solve_tree_closed(CctoInstance(graph, 0, 0, 2, 9))
+        with pytest.raises(
+            NotApplicableError, match=r"^edge \(0, 3\) outside the subforest admits 4"
+        ):
+            solve_subforest(CctoInstance(graph, 0, 0, 2, 9), [(0, 2)])
+        solve_subforest(CctoInstance(graph, 0, 0, 2, 9), [(0, 2), (0, 3)])
