@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import namedtuple
 
 from .colorcoding import (
     DEFAULT_FAILURE_PROB,
@@ -57,50 +58,63 @@ EXIT_DISAGREEMENT = 3
 AUTO_ORACLE_LIMIT = 10
 
 
-def choose_solver(instance: CctoInstance) -> str:
-    """Deterministic dispatch: cheapest exact method first, probabilistic
-    last. The budget precheck runs before this is consulted."""
-    graph = instance.graph
-    if graph.n <= AUTO_ORACLE_LIMIT:
-        return "oracle"
-    if sparse_triples_applicable(graph):
-        return "sparse"
-    if tree_closed_applicable(instance):
-        return "tree"
-    if bag_width(graph) <= MAX_BAG_WIDTH:
-        return "vitw"
-    return "colorcoding"
-
-
 def _colorcoding_mode(instance: CctoInstance) -> str:
     if exhaustive_colouring_count(instance) <= MAX_EXHAUSTIVE_COLOURINGS:
         return "exhaustive"
     return "randomized"
 
 
-def _run_solver(name, instance, subforest, args):
-    if name == "oracle":
-        return solve_exact(instance)
-    if name == "tree":
-        return solve_tree_closed(instance)
-    if name == "subforest":
-        return solve_subforest(instance, subforest)
-    if name == "sparse":
-        return solve_sparse_triples(instance)
-    if name == "vitw":
-        return solve_vitw(instance)
-    if name == "colorcoding":
-        mode = getattr(args, "mode", None) or _colorcoding_mode(instance)
-        if mode == "randomized":
-            return solve_color_coding(
-                instance,
-                "randomized",
-                seed=getattr(args, "seed", 0) or 0,
-                trials=getattr(args, "trials", None),
-                failure_prob=getattr(args, "failure_prob", DEFAULT_FAILURE_PROB),
-            )
-        return solve_color_coding(instance, "exhaustive")
-    raise ValueError(f"unknown solver {name!r}")
+def _run_colorcoding(instance, subforest, args):
+    # `bench` has no --mode; exhaustive mode ignores the randomized options.
+    return solve_color_coding(
+        instance,
+        getattr(args, "mode", None) or _colorcoding_mode(instance),
+        seed=args.seed,
+        trials=args.trials,
+        failure_prob=args.failure_prob,
+    )
+
+
+# run(instance, subforest, args) -> SolveResult, and applicable(instance,
+# subforest) -> bool. Both look solvers up in this module's globals when
+# called, so a test can substitute one by patching its name here.
+Solver = namedtuple("Solver", "run applicable")
+
+# Every solver the CLI offers, in `analyze` row order.
+SOLVERS = {
+    "oracle": Solver(
+        lambda instance, subforest, args: solve_exact(instance),
+        lambda instance, subforest: instance.graph.n <= MAX_ORACLE_VERTICES,
+    ),
+    "sparse": Solver(
+        lambda instance, subforest, args: solve_sparse_triples(instance),
+        lambda instance, subforest: sparse_triples_applicable(instance.graph),
+    ),
+    "tree": Solver(
+        lambda instance, subforest, args: solve_tree_closed(instance),
+        lambda instance, subforest: tree_closed_applicable(instance),
+    ),
+    "subforest": Solver(
+        lambda instance, subforest, args: solve_subforest(instance, subforest),
+        lambda instance, subforest: subforest_applicable(instance, subforest),
+    ),
+    "vitw": Solver(
+        lambda instance, subforest, args: solve_vitw(instance),
+        lambda instance, subforest: bag_width(instance.graph) <= MAX_BAG_WIDTH,
+    ),
+    "colorcoding": Solver(_run_colorcoding, lambda instance, subforest: True),
+}
+
+# Past the oracle, `auto` takes the first of these whose precondition holds:
+# cheapest exact method first, probabilistic last.
+AUTO_ORDER = ("sparse", "tree", "vitw", "colorcoding")
+
+
+def choose_solver(instance: CctoInstance) -> str:
+    """Deterministic dispatch; the budget precheck runs before it."""
+    if instance.graph.n <= AUTO_ORACLE_LIMIT:
+        return "oracle"
+    return next(name for name in AUTO_ORDER if SOLVERS[name].applicable(instance, ()))
 
 
 def _query_from(args, file) -> CctoInstance:
@@ -164,7 +178,7 @@ def cmd_solve(args) -> int:
         name = args.algorithm
         if name == "auto":
             name = choose_solver(instance)
-        result = _run_solver(name, instance, file.subforest, args)
+        result = SOLVERS[name].run(instance, file.subforest, args)
     _emit_result(result, args.format, sys.stdout)
     return EXIT_FEASIBLE if result.feasible else EXIT_INFEASIBLE
 
@@ -195,22 +209,11 @@ def cmd_analyze(args) -> int:
         if bag:
             members = " ".join(_label(graph, v) for v in sorted(bag))
             print(f"bag {t} {members}", file=out)
-    tree_ok = graph.is_tree() and max(graph.traversal_numbers().values(), default=0) <= 3
-    if file.query is not None:
-        tree_ok = tree_closed_applicable(file.query)
-        subforest_ok = subforest_applicable(file.query, file.subforest)
-    else:
-        subforest_ok = graph.is_tree()
-    flags = {
-        "oracle": graph.n <= MAX_ORACLE_VERTICES,
-        "sparse": sparse_triples_applicable(graph),
-        "tree": tree_ok,
-        "subforest": subforest_ok,
-        "vitw": sequence.width <= MAX_BAG_WIDTH,
-        "colorcoding": True,
-    }
-    for name in ("oracle", "sparse", "tree", "subforest", "vitw", "colorcoding"):
-        print(f"applicable {name} {'yes' if flags[name] else 'no'}", file=out)
+    # Without a query, judge every solver against a closed walk from 0.
+    query = file.query or CctoInstance(graph, 0, 0, 1, 0)
+    for name, solver in SOLVERS.items():
+        verdict = "yes" if solver.applicable(query, file.subforest) else "no"
+        print(f"applicable {name} {verdict}", file=out)
     if args.export_expanded:
         expanded = build_time_expanded(graph)
         lines = "\n".join(export_arcs(expanded))
@@ -310,6 +313,9 @@ def _disagreement(path, answers):
 
 def cmd_bench(args) -> int:
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    for name in solvers:
+        if name not in SOLVERS:
+            raise ValueError(f"unknown solver {name!r}; valid: {', '.join(SOLVERS)}")
     print("# instance solver feasible cost states millis")
     disagreement = None
     for path in args.instances:
@@ -321,7 +327,7 @@ def cmd_bench(args) -> int:
         for name in solvers:
             start = time.perf_counter()
             try:
-                result = _run_solver(name, instance, file.subforest, args)
+                result = SOLVERS[name].run(instance, file.subforest, args)
             except (NotApplicableError, CapabilityError):
                 print(f"{path} {name} skipped - - -")
                 continue
@@ -353,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--algorithm",
         default="auto",
-        choices=["auto", "oracle", "tree", "subforest", "sparse", "vitw", "colorcoding"],
+        choices=["auto", *SOLVERS],
     )
     solve.add_argument("--source", type=int)
     solve.add_argument("--sink", type=int)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph
 from .result import SolveResult, verify_result
-from .tree_solvers import _best_accepted, _label_sweep, _rebuild
+from .tree_solvers import _sweep_solve
 
 MAX_EXHAUSTIVE_COLOURINGS = 1_000_000
 DEFAULT_FAILURE_PROB = 1e-3
@@ -270,21 +270,12 @@ def solve_colourful(graph, source, sink, k, colouring, budget) -> SolveResult:
         _, arrive, w, _cost = move
         return (w, arrive, state[2] | bit[w])
 
-    labels, parents = _label_sweep(graph, start, step)
-    best, best_state = _best_accepted(
-        labels, lambda s: s[0] == sink and s[2] == full
+    result = _sweep_solve(
+        graph, start, step, lambda s: s[0] == sink and s[2] == full, budget, "colourful"
     )
-    witness = None if best_state is None else _rebuild(parents, start, best_state)
-    stats = {"states": len(labels)}
     if palette <= 0:
-        stats["direct"] = True
-    return SolveResult(
-        feasible=best <= budget,
-        optimal_cost=best,
-        witness=witness,
-        solver="colourful",
-        stats=stats,
-    )
+        result.stats["direct"] = True
+    return result
 
 
 def _partitions(count, parts):
@@ -350,45 +341,37 @@ def solve_color_coding(
             raise CapabilityError(
                 f"{bound} colourings exceed the cap {exhaustive_cap}"
             )
-        best = None
-        colourings = states = 0
-        for assign in _partitions(len(inner), palette):
-            colourings += 1
-            colouring = dict(zip(inner, assign))
-            result = solve_colourful(graph, source, sink, k, colouring, budget)
-            states += result.stats["states"]
-            if best is None or result.optimal_cost < best.optimal_cost:
-                best = result
-        best.solver = "colorcoding"
-        best.stats = {
-            "mode": "exhaustive",
-            "colourings": colourings,
-            "states": states,
-            "tables": 0,
-        }
-        return best
-
-    if mode != "randomized":
+        colourings = (
+            dict(zip(inner, assign)) for assign in _partitions(len(inner), palette)
+        )
+    elif mode == "randomized":
+        if seed is None:
+            raise ValueError("randomized mode needs a seed")
+        if trials is None:
+            trials = math.ceil(math.e**palette * math.log(1 / failure_prob))
+        if trials < 1:
+            raise ValueError("randomized mode needs at least one trial")
+        colourings = (
+            {v: rng.randint(1, palette) for v in inner}
+            for rng in (random.Random(seed * 1_000_003 + i) for i in range(trials))
+        )
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if seed is None:
-        raise ValueError("randomized mode needs a seed")
-    if trials is None:
-        trials = math.ceil(math.e**palette * math.log(1 / failure_prob))
-    if trials < 1:
-        raise ValueError("randomized mode needs at least one trial")
     best = None
     used = states = 0
-    for i in range(trials):
-        rng = random.Random(seed * 1_000_003 + i)
-        colouring = {v: rng.randint(1, palette) for v in inner}
+    for colouring in colourings:
         result = solve_colourful(graph, source, sink, k, colouring, budget)
         states += result.stats["states"]
-        used = i + 1
+        used += 1
         if best is None or result.optimal_cost < best.optimal_cost:
             best = result
-        if best.feasible:
+        # Randomized answers are bounds, so the first one within budget will do.
+        if mode == "randomized" and best.feasible:
             break
     best.solver = "colorcoding"
+    if mode == "exhaustive":
+        best.stats = {"mode": "exhaustive", "colourings": used, "states": states}
+        return best
     best.stats = {
         "mode": "randomized",
         "trials": trials,

@@ -70,21 +70,38 @@ def _label_sweep(graph, start, step):
     return labels, parent
 
 
-def _best_accepted(labels, accept):
-    best, best_state = INF, None
-    for state in sorted(labels):
-        if labels[state] < best and accept(state):
-            best, best_state = labels[state], state
-    return best, best_state
+def _sweep_solve(graph, start, step, accept, budget, solver, **stats):
+    """Sweep from `start` and report the cheapest state `accept` takes (the
+    smallest such state on ties) with its witness, and `states`, the number
+    of labels settled, ahead of `stats`."""
+    labels, parent = _label_sweep(graph, start, step)
+    best, state = INF, None
+    for candidate in sorted(labels):
+        if labels[candidate] < best and accept(candidate):
+            best, state = labels[candidate], candidate
+    witness = None
+    if state is not None:
+        witness = []
+        while state != start:
+            state, move = parent[state]
+            witness.append(move)
+        witness.reverse()
+    return SolveResult(
+        feasible=best <= budget,
+        optimal_cost=best,
+        witness=witness,
+        solver=solver,
+        stats={"states": len(labels), **stats},
+    )
 
 
-def _rebuild(parent, start, state):
-    steps = []
-    while state != start:
-        state, step = parent[state]
-        steps.append(step)
-    steps.reverse()
-    return steps
+def _holds(check, *args) -> bool:
+    """Whether `check(*args)` passes; an unknown subforest edge fails it."""
+    try:
+        check(*args)
+    except (NotApplicableError, ValueError):
+        return False
+    return True
 
 
 def _tree_bfs(graph: TemporalCostGraph, root: int):
@@ -126,11 +143,7 @@ def _check_tree_closed(instance: CctoInstance):
 
 
 def tree_closed_applicable(instance: CctoInstance) -> bool:
-    try:
-        _check_tree_closed(instance)
-    except NotApplicableError:
-        return False
-    return True
+    return _holds(_check_tree_closed, instance)
 
 
 def solve_tree_closed(instance: CctoInstance) -> SolveResult:
@@ -154,20 +167,14 @@ def solve_tree_closed(instance: CctoInstance) -> SolveResult:
             return (w, arrive, min(count + 1, k))
         return (w, arrive, count)
 
-    labels, parents = _label_sweep(graph, start, step)
-    best, best_state = _best_accepted(
-        labels, lambda s: s[0] == instance.source and s[2] == k
-    )
-    witness = None if best_state is None else _rebuild(parents, start, best_state)
-    return SolveResult(
-        feasible=best <= instance.budget,
-        optimal_cost=best,
-        witness=witness,
-        solver="tree_closed",
-        stats={
-            "states": len(labels),
-            "state_space": graph.n * (graph.lifetime + 1) * (k + 1),
-        },
+    return _sweep_solve(
+        graph,
+        start,
+        step,
+        lambda s: s[0] == instance.source and s[2] == k,
+        instance.budget,
+        "tree_closed",
+        state_space=graph.n * (graph.lifetime + 1) * (k + 1),
     )
 
 
@@ -238,7 +245,12 @@ def partition_forest_paths(graph: TemporalCostGraph, subforest, source: int):
     return paths
 
 
-def _check_subforest(instance, edges, paths, max_paths):
+def _subforest_paths(instance, subforest, max_paths):
+    """Leaf paths of `subforest` from the source, once the subforest
+    solver's preconditions hold: a tree, at most `max_paths` paths, and
+    traversal number at most 3 on every edge outside the subforest."""
+    edges = {(min(u, v), max(u, v)) for u, v in subforest}
+    paths = partition_forest_paths(instance.graph, edges, instance.source)
     if len(paths) > max_paths:
         raise NotApplicableError(
             f"subforest has {len(paths)} leaf paths, cap is {max_paths}"
@@ -248,18 +260,11 @@ def _check_subforest(instance, edges, paths, max_paths):
         {edge: numbers[edge] for edge in numbers if edge not in edges},
         " outside the subforest",
     )
+    return paths
 
 
 def subforest_applicable(instance, subforest=(), max_paths=MAX_SUBFOREST_PATHS):
-    try:
-        if not instance.graph.is_tree():
-            return False
-        edges = {(min(u, v), max(u, v)) for u, v in subforest}
-        paths = partition_forest_paths(instance.graph, edges, instance.source)
-        _check_subforest(instance, edges, paths, max_paths)
-    except (NotApplicableError, ValueError):
-        return False
-    return True
+    return _holds(_subforest_paths, instance, subforest, max_paths)
 
 
 def solve_subforest(
@@ -279,11 +284,8 @@ def solve_subforest(
     repaid before the walk can reach the sink, so accepting states with
     counter exactly k at the sink is exact.
     """
+    paths = _subforest_paths(instance, subforest, max_paths)
     graph, k = instance.graph, instance.k
-    _require_tree(graph)
-    edges = {(min(u, v), max(u, v)) for u, v in subforest}
-    paths = partition_forest_paths(graph, edges, instance.source)
-    _check_subforest(instance, edges, paths, max_paths)
 
     position = []
     edge_path = {}
@@ -321,24 +323,18 @@ def solve_subforest(
             return None
         return (w, arrive, q2, marks)
 
-    labels, parents = _label_sweep(graph, start, step)
-    best, best_state = _best_accepted(
-        labels, lambda s: s[0] == instance.sink and s[2] == k
-    )
-    witness = None if best_state is None else _rebuild(parents, start, best_state)
     mark_space = 1
     for path in paths:
         mark_space *= len(path)
-    return SolveResult(
-        feasible=best <= instance.budget,
-        optimal_cost=best,
-        witness=witness,
-        solver="subforest",
-        stats={
-            "states": len(labels),
-            "paths": len(paths),
-            "state_space": graph.n * (graph.lifetime + 1) * (k + 1) * mark_space,
-        },
+    return _sweep_solve(
+        graph,
+        start,
+        step,
+        lambda s: s[0] == instance.sink and s[2] == k,
+        instance.budget,
+        "subforest",
+        paths=len(paths),
+        state_space=graph.n * (graph.lifetime + 1) * (k + 1) * mark_space,
     )
 
 
@@ -359,11 +355,7 @@ def _check_sparse_triples(graph: TemporalCostGraph):
 
 
 def sparse_triples_applicable(graph: TemporalCostGraph) -> bool:
-    try:
-        _check_sparse_triples(graph)
-    except NotApplicableError:
-        return False
-    return True
+    return _holds(_check_sparse_triples, graph)
 
 
 def solve_sparse_triples(instance: CctoInstance) -> SolveResult:
@@ -398,18 +390,12 @@ def solve_sparse_triples(instance: CctoInstance) -> SolveResult:
             return (w, arrive, count, seen)
         return (w, arrive, min(count + 1, k), seen)
 
-    labels, parents = _label_sweep(graph, start, step)
-    best, best_state = _best_accepted(
-        labels, lambda s: s[0] == sink and s[2] == k
-    )
-    witness = None if best_state is None else _rebuild(parents, start, best_state)
-    return SolveResult(
-        feasible=best <= instance.budget,
-        optimal_cost=best,
-        witness=witness,
-        solver="sparse_triples",
-        stats={
-            "states": len(labels),
-            "state_space": graph.n * (graph.lifetime + 1) * (k + 1),
-        },
+    return _sweep_solve(
+        graph,
+        start,
+        step,
+        lambda s: s[0] == sink and s[2] == k,
+        instance.budget,
+        "sparse_triples",
+        state_space=graph.n * (graph.lifetime + 1) * (k + 1),
     )

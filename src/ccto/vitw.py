@@ -124,14 +124,13 @@ def solve_vitw(instance: CctoInstance, max_width: int = MAX_BAG_WIDTH) -> SolveR
     work = TemporalCostGraph(
         graph.n, [t for t in shifted if t[3] <= horizon]
     )
-    sequence = vitw_sequence(work)
-    if sequence.width > max_width:
-        raise CapabilityError(
-            f"bag width {sequence.width} exceeds the cap {max_width}"
-        )
+    # Check the cap before building the bags: one set per time unit.
+    width = bag_width(work)
+    if width > max_width:
+        raise CapabilityError(f"bag width {width} exceeds the cap {max_width}")
     endpoint_mask = (1 << source) | (1 << sink)
     bag_masks = []
-    for bag in sequence.bags:
+    for bag in vitw_sequence(work).bags:
         mask = endpoint_mask
         for v in bag:
             mask |= 1 << v
@@ -222,7 +221,7 @@ def solve_vitw(instance: CctoInstance, max_width: int = MAX_BAG_WIDTH) -> SolveR
         witness=witness,
         solver="vitw",
         stats={
-            "width": sequence.width,
+            "width": width,
             "width_eff": width_eff,
             "shift": shift,
             "effective_lifetime": horizon,

@@ -1,14 +1,29 @@
 """Tests for the command-line interface."""
 
+import argparse
 import random
 
 import pytest
 
-from ccto.cli import _colorcoding_mode, choose_solver, main
+from ccto.cli import (
+    AUTO_ORACLE_LIMIT,
+    SOLVERS,
+    _colorcoding_mode,
+    build_parser,
+    choose_solver,
+    main,
+)
 from ccto.core import CctoInstance, TemporalCostGraph
-from ccto.instances import InstanceFile, from_edge_labels, random_instance, save_instance
+from ccto.instances import (
+    InstanceFile,
+    from_edge_labels,
+    load_instance,
+    random_instance,
+    save_instance,
+)
 from ccto.result import SolveResult
-from ccto.vitw import bag_width, vitw_sequence
+from ccto.tree_solvers import sparse_triples_applicable, tree_closed_applicable
+from ccto.vitw import MAX_BAG_WIDTH, bag_width, vitw_sequence
 
 from conftest import I1_TUPLES, make_graph
 
@@ -457,3 +472,105 @@ class TestDispatchBagWidth:
 
         monkeypatch.setattr("ccto.cli.vitw_sequence", refuse)
         assert [choose_solver(inst) for inst in _dispatch_instances()] == expected
+
+
+def if_chain_choose_solver(instance):
+    """Dispatch as an explicit if-chain: the reference for the table walk."""
+    graph = instance.graph
+    if graph.n <= AUTO_ORACLE_LIMIT:
+        return "oracle"
+    if sparse_triples_applicable(graph):
+        return "sparse"
+    if tree_closed_applicable(instance):
+        return "tree"
+    if bag_width(graph) <= MAX_BAG_WIDTH:
+        return "vitw"
+    return "colorcoding"
+
+
+# A two-vertex tree whose one edge can be crossed 4 times.
+BUSY_EDGE_TEXT = """version 1
+n 2
+tuple 0 1 1 2 1
+tuple 1 0 2 3 1
+tuple 0 1 3 4 1
+tuple 1 0 4 5 1
+"""
+
+
+class TestSolverTable:
+    def test_dispatch_matches_the_if_chain(self):
+        instances = list(_dispatch_instances())
+        for seed in range(200):
+            instances.append(
+                random_instance(
+                    seed=seed,
+                    n=2 + seed % 15,
+                    horizon=2 + seed % 9,
+                    density=(0.05, 0.2, 0.5)[seed % 3],
+                    shape="general" if seed % 2 else "tree",
+                )
+            )
+        for inst in instances:
+            assert choose_solver(inst) == if_chain_choose_solver(inst)
+
+    def test_algorithm_choices_are_the_table(self):
+        commands = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        algorithm = next(
+            action
+            for action in commands.choices["solve"]._actions
+            if action.dest == "algorithm"
+        )
+        assert algorithm.choices == ["auto", *SOLVERS]
+
+    def test_analyze_rows_are_the_table(self, tmp_path, capsys):
+        for seed in range(50):
+            inst = random_instance(
+                seed=seed,
+                n=2 + seed % 7,
+                horizon=3 + seed % 6,
+                density=(0.1, 0.3, 0.6)[seed % 3],
+                shape="general" if seed % 5 == 4 else "tree",
+            )
+            graph = inst.graph
+            busy = tuple(e for e, number in graph.traversal_numbers().items() if number > 3)
+            for query in (inst, None):
+                path = tmp_path / f"t{seed}.ccto"
+                save_instance(path, InstanceFile(graph, query, busy[: seed % 3]))
+                file = load_instance(path)
+                assert main(["analyze", str(path)]) == 0
+                rows = [
+                    line.split()[1:]
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("applicable ")
+                ]
+                stand_in = query or CctoInstance(graph, 0, 0, 1, 0)
+                assert rows == [
+                    [name, "yes" if solver.applicable(stand_in, file.subforest) else "no"]
+                    for name, solver in SOLVERS.items()
+                ]
+
+    def test_analyze_subforest_row_without_a_query(self, tmp_path, capsys):
+        path = tmp_path / "busy.ccto"
+        path.write_text(BUSY_EDGE_TEXT)
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "traversal 0 1 4\n" in out
+        assert "applicable subforest no\n" in out
+        argv = ["solve", str(path), "--algorithm", "subforest"]
+        argv += ["--source", "0", "--sink", "0", "--k", "1", "--budget", "0"]
+        assert main(argv) == 2
+        assert "outside the subforest admits 4" in capsys.readouterr().err
+
+    def test_bench_rejects_unknown_solvers_up_front(self, i1_path, capsys):
+        assert main(["bench", i1_path, "--solvers", "oracle,vitw,nope"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unknown solver 'nope'" in err
+        assert all(name in err for name in SOLVERS)
+        assert main(["bench", "--solvers", "nope"]) == 2
+        assert capsys.readouterr().out == ""

@@ -370,7 +370,6 @@ class TestEventSweep:
             return got
 
         monkeypatch.setattr(tree_solvers, "_label_sweep", both)
-        monkeypatch.setattr(colorcoding, "_label_sweep", both)
         rng = random.Random(4411)
         solved = set()
         for inst in random_tree_instances(93, 40, n_range=(3, 7), horizon_range=(4, 12)):
@@ -395,6 +394,29 @@ class TestEventSweep:
         for (labels, parent), (dense_labels, dense_parent) in sweeps:
             assert labels == dense_labels
             assert parent == dense_parent
+
+    def test_colour_sweeps_run_on_the_shared_sweep(self, monkeypatch):
+        # Colour coding calls the tree solvers' sweep, so patching it there
+        # puts every colouring's sweep under the dense comparison above.
+        sweeps = []
+        event_sweep = tree_solvers._label_sweep
+
+        def both(graph, start, step):
+            got = event_sweep(graph, start, step)
+            sweeps.append((got, dense_label_sweep(graph, start, step)))
+            return got
+
+        monkeypatch.setattr(tree_solvers, "_label_sweep", both)
+        tuples = []
+        for v in range(1, 5):
+            tuples += [(0, v, 2 * v - 1, 2 * v, 1), (v, 0, 2 * v, 2 * v + 1, 1)]
+        graph = make_graph(5, tuples)
+        colorcoding.solve_colourful(graph, 0, 0, 3, {1: 1, 2: 2, 3: 1, 4: 2}, 20)
+        result = solve_color_coding(CctoInstance(graph, 0, 0, 3, 20), "exhaustive")
+        assert result.optimal_cost == 4
+        assert len(sweeps) == 1 + result.stats["colourings"] == 8
+        for got, dense in sweeps:
+            assert got == dense
 
 
 def scaled(instance, factor):

@@ -1,5 +1,7 @@
 """Tests for the interval-bag sequence and the width-parameterized solver."""
 
+import time
+
 import pytest
 
 from ccto.core import INF, CapabilityError, CctoInstance, TemporalCostGraph
@@ -144,6 +146,19 @@ class TestSolveVitw:
             solve_vitw(CctoInstance(g, 0, 0, 2, 10))
         raised = solve_vitw(CctoInstance(g, 0, 0, 2, 10), max_width=13)
         assert raised.optimal_cost == 2
+
+    def test_width_cap_fails_before_building_bags(self):
+        # A 10^9-scaled twin would need one bag per time unit; the cap must
+        # be checked from the vertex intervals first.
+        wide = [(1, 2, 2, 3, 1)]
+        for v in range(1, 14):
+            wide += [(0, v, 1, 2, 1), (v, 0, 3, 4, 1)]
+        scale = 10**9
+        g = make_graph(14, [(u, v, d * scale, a * scale, c) for u, v, d, a, c in wide])
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match="bag width 13 exceeds the cap 12"):
+            solve_vitw(CctoInstance(g, 0, 0, 3, 10))
+        assert time.perf_counter() - start < 1.0
 
     def test_optimum_is_budget_independent(self, i1):
         costs = {
