@@ -48,7 +48,7 @@ from .tree_solvers import (
     subforest_applicable,
     tree_closed_applicable,
 )
-from .vitw import MAX_BAG_WIDTH, bag_width, solve_vitw, vitw_sequence
+from .vitw import MAX_BAG_WIDTH, _live_intervals, bag_width, solve_vitw
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -203,12 +203,9 @@ def cmd_analyze(args) -> int:
             f"{graph.max_traversal_number(u, v)}",
             file=out,
         )
-    sequence = vitw_sequence(graph)
-    print(f"width {sequence.width}", file=out)
-    for t, bag in enumerate(sequence.bags):
-        if bag:
-            members = " ".join(_label(graph, v) for v in sorted(bag))
-            print(f"bag {t} {members}", file=out)
+    print(f"width {bag_width(graph)}", file=out)
+    for v, (start, stop) in sorted(_live_intervals(graph).items()):
+        print(f"interval {_label(graph, v)} {start} {stop}", file=out)
     # Without a query, judge every solver against a closed walk from 0.
     query = file.query or CctoInstance(graph, 0, 0, 1, 0)
     for name, solver in SOLVERS.items():

@@ -19,10 +19,11 @@ def solve_exact(instance: CctoInstance) -> SolveResult:
     """Solve an instance by dynamic programming over visited-vertex sets.
 
     States are (vertex, arrival time, visited bitmask) with minimal cost;
-    every transition strictly increases time, so one ascending sweep settles
-    all labels. Optimal cost is independent of the budget; the budget only
-    decides feasibility. Deterministic: states and moves are expanded in
-    sorted order and labels improve strictly.
+    every transition strictly increases time, so one ascending sweep over
+    time 0 and the stored arrival times settles all labels. Optimal cost is
+    independent of the budget; the budget only decides feasibility.
+    Deterministic: states and moves are expanded in sorted order and labels
+    improve strictly.
     """
     graph = instance.graph
     if graph.n > MAX_ORACLE_VERTICES:
@@ -34,7 +35,8 @@ def solve_exact(instance: CctoInstance) -> SolveResult:
     labels = {start: 0}
     parent: dict = {}
     by_time: dict[int, set] = {0: {start}}
-    for t in range(graph.lifetime + 1):
+    # States only ever sit at time 0 or at a stored arrival time.
+    for t in sorted({0} | {arrive for _, _, _, arrive, _ in graph.tuples()}):
         for state in sorted(by_time.get(t, ())):
             v, _, mask = state
             base = labels[state]

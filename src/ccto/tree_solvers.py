@@ -104,20 +104,18 @@ def _holds(check, *args) -> bool:
     return True
 
 
-def _tree_bfs(graph: TemporalCostGraph, root: int):
-    """Parent and depth maps of the tree rooted at `root` (root maps to
-    parent None, depth 0)."""
+def _tree_parents(graph: TemporalCostGraph, root: int) -> dict:
+    """Parent map of the tree rooted at `root` (the root maps to None), in
+    breadth-first order, so every vertex comes after its parent."""
     parent = {root: None}
-    depth = {root: 0}
     queue = deque([root])
     while queue:
         u = queue.popleft()
         for w in graph.neighbors(u):
             if w not in parent:
                 parent[w] = u
-                depth[w] = depth[u] + 1
                 queue.append(w)
-    return parent, depth
+    return parent
 
 
 def _require_tree(graph):
@@ -157,7 +155,7 @@ def solve_tree_closed(instance: CctoInstance) -> SolveResult:
     """
     _check_tree_closed(instance)
     graph, k = instance.graph, instance.k
-    parent, _ = _tree_bfs(graph, instance.source)
+    parent = _tree_parents(graph, instance.source)
     start = (instance.source, 0, 1)
 
     def step(state, move):
@@ -181,66 +179,40 @@ def solve_tree_closed(instance: CctoInstance) -> SolveResult:
 def partition_forest_paths(graph: TemporalCostGraph, subforest, source: int):
     """Split subforest edges into vertex paths, each ending at a leaf.
 
-    Each connected piece of the subforest is rooted at its vertex nearest
-    the source in the tree. Leaves (childless vertices of the rooted piece)
-    are processed in vertex-id order; each walks up toward the root until it
-    meets an already covered edge or the root, producing one path written
-    top-first. Every subforest edge lands in exactly one path; the first
-    vertex of a path may be shared with an earlier one.
+    Rooted at the source, each connected piece of the subforest is a
+    subtree: its top is the one vertex whose edge up is not a subforest
+    edge, and every other vertex hangs below its tree parent. Pieces come in
+    order of their smallest vertex. Leaves (piece vertices with no subforest
+    edge down) are processed in vertex-id order; each walks up toward the
+    top until it meets an already covered edge or the top, producing one
+    path written top-first. Every subforest edge lands in exactly one path;
+    the first vertex of a path may be shared with an earlier one.
     """
     _require_tree(graph)
-    edges = set()
-    adjacency: dict[int, list] = {}
     for u, v in subforest:
         edge = (min(u, v), max(u, v))
         if edge not in graph.edges:
             raise ValueError(f"subforest edge {edge} is not an edge of the graph")
-        if edge in edges:
-            continue
-        edges.add(edge)
-        adjacency.setdefault(edge[0], []).append(edge[1])
-        adjacency.setdefault(edge[1], []).append(edge[0])
-    _, depth = _tree_bfs(graph, source)
+    parent = _tree_parents(graph, source)
+    # Vertices whose edge up to their tree parent is a subforest edge.
+    lower = {v if parent[v] == u else u for u, v in subforest}
+    top, pieces = {}, {}
+    for v, up in parent.items():
+        top[v] = top[up] if v in lower else v
+        if v in lower:
+            pieces.setdefault(top[v], []).append(v)
     paths = []
-    assigned = set()
-    for first in sorted(adjacency):
-        if first in assigned:
-            continue
-        component = {first}
-        queue = deque([first])
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if w not in component:
-                    component.add(w)
-                    queue.append(w)
-        assigned |= component
-        root = min(component, key=lambda v: (depth[v], v))
-        cparent = {root: None}
-        children = {v: 0 for v in component}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if w not in cparent:
-                    cparent[w] = u
-                    children[u] += 1
-                    queue.append(w)
-        covered = set()
-        for leaf in sorted(v for v in component if v != root and not children[v]):
+    for root in sorted(pieces, key=lambda r: min(r, *pieces[r])):
+        below = pieces[root]
+        covered = set()  # the lower vertex of each covered edge
+        for leaf in sorted(set(below) - {parent[v] for v in below}):
             chain = [leaf]
-            v = leaf
-            while v != root:
-                up = cparent[v]
-                edge = (min(v, up), max(v, up))
-                if edge in covered:
-                    break
-                covered.add(edge)
-                chain.append(up)
-                v = up
+            while chain[-1] != root and chain[-1] not in covered:
+                covered.add(chain[-1])
+                chain.append(parent[chain[-1]])
             chain.reverse()
             paths.append(chain)
-        if len(covered) != len(component) - 1:
+        if len(covered) != len(below):
             raise AssertionError("leaf paths failed to cover the component")
     return paths
 
@@ -294,7 +266,7 @@ def solve_subforest(
         for a, b in zip(path, path[1:]):
             edge_path[(min(a, b), max(a, b))] = j
 
-    toward_sink, _ = _tree_bfs(graph, instance.sink)
+    toward_sink = _tree_parents(graph, instance.sink)
     anchor_edges = set()
     v = instance.source
     while v != instance.sink:

@@ -2,6 +2,7 @@
 
 import argparse
 import random
+import time
 
 import pytest
 
@@ -164,6 +165,24 @@ class TestSolve:
         assert "cost 8\n" in out
         assert "stat mode randomized\n" in out
 
+    def test_auto_answers_on_epoch_timestamps(self, tmp_path, capsys):
+        # Unix-epoch times: a sweep over every time unit would never finish.
+        t = 1_700_000_000
+        path = tmp_path / "epoch.ccto"
+        path.write_text(
+            "version 1\nn 3\n"
+            f"tuple 0 1 {t} {t + 60} 3\n"
+            f"tuple 1 2 {t + 120} {t + 180} 4\n"
+            f"tuple 2 0 {t + 240} {t + 300} 5\n"
+            "query 0 2 3 10\n"
+        )
+        started = time.perf_counter()
+        assert main(["solve", str(path), "--format", "structured"]) == 0
+        assert time.perf_counter() - started < 1
+        out = capsys.readouterr().out
+        assert "cost 7\n" in out
+        assert "solver oracle\n" in out
+
     def test_every_forced_algorithm_agrees(self, i1_path, capsys):
         costs = {}
         for algorithm in ("oracle", "tree", "subforest", "vitw", "colorcoding"):
@@ -226,10 +245,8 @@ class TestAnalyze:
             "traversal s a 2\n"
             "traversal a b 2\n"
             "width 2\n"
-            "bag 2 a\n"
-            "bag 3 a b\n"
-            "bag 4 a b\n"
-            "bag 5 a\n"
+            "interval a 2 5\n"
+            "interval b 3 4\n"
             "applicable oracle yes\n"
             "applicable sparse no\n"
             "applicable tree yes\n"
@@ -263,6 +280,21 @@ class TestAnalyze:
         assert len(lines) == 22
         assert "0 1 1 2 2" in lines  # movement arc keeps its cost
         assert "0 0 0 1 0" in lines  # waiting arc is free
+
+    def test_long_time_axis_reports_intervals(self, tmp_path, capsys):
+        scale = 10**7
+        path = tmp_path / "long.ccto"
+        save_instance(path, InstanceFile(make_graph(
+            3, [(u, v, d * scale, a * scale, c) for u, v, d, a, c in I1_TUPLES]
+        )))
+        started = time.perf_counter()
+        assert main(["analyze", str(path)]) == 0
+        assert time.perf_counter() - started < 1
+        out = capsys.readouterr().out
+        assert f"lifetime {6 * scale}\n" in out
+        assert "width 2\n" in out
+        assert f"interval 1 {2 * scale} {5 * scale}\n" in out
+        assert f"interval 2 {3 * scale} {4 * scale}\n" in out
 
     def test_parse_failure(self, tmp_path, capsys):
         path = tmp_path / "broken.ccto"
@@ -464,14 +496,20 @@ class TestDispatchBagWidth:
             seen.add(name)
         assert {"sparse", "tree", "vitw", "colorcoding"} <= seen
 
-    def test_dispatch_never_builds_the_bag_sequence(self, monkeypatch):
+    def test_dispatch_never_builds_the_bag_sequence(self, monkeypatch, tmp_path):
         expected = [choose_solver(inst) for inst in _dispatch_instances()]
+        paths = []
+        for index, inst in enumerate(_dispatch_instances()):
+            paths.append(tmp_path / f"{index}.ccto")
+            save_instance(paths[-1], InstanceFile(inst.graph, inst))
 
         def refuse(graph):
             raise AssertionError("dispatch built the per-time bags")
 
-        monkeypatch.setattr("ccto.cli.vitw_sequence", refuse)
+        monkeypatch.setattr("ccto.vitw.vitw_sequence", refuse)
         assert [choose_solver(inst) for inst in _dispatch_instances()] == expected
+        for path in paths:
+            assert main(["analyze", str(path)]) == 0
 
 
 def if_chain_choose_solver(instance):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ccto.core import INF, CapabilityError, CctoInstance, walk_cost
+from ccto.instances import random_instance
 from ccto.oracle import min_cost_walk_oracle, solve_exact
 from ccto.result import verify_result
 
@@ -106,6 +107,25 @@ class TestSolveExact:
             result = solve_exact(instance)
             if result.witness is not None:
                 assert walk_cost(graph, result.witness) == result.optimal_cost
+
+    def test_scaled_timestamps_keep_cost_and_states(self):
+        # The sweep visits arrival times only, so a 10^12-scaled twin costs
+        # the same and settles the same labels.
+        scale = 10**12
+        for seed in range(40):
+            inst = random_instance(
+                seed=seed, n=2 + seed % 7, horizon=3 + seed % 6,
+                density=(0.2, 0.4, 0.7)[seed % 3],
+                shape="general" if seed % 2 else "tree",
+            )
+            twin_graph = make_graph(inst.graph.n, [
+                (u, v, d * scale, a * scale, c) for u, v, d, a, c in inst.graph.tuples()
+            ])
+            twin = CctoInstance(twin_graph, inst.source, inst.sink, inst.k, inst.budget)
+            plain, scaled = solve_exact(inst), solve_exact(twin)
+            assert scaled.optimal_cost == plain.optimal_cost, seed
+            assert scaled.stats["states"] == plain.stats["states"], seed
+            verify_result(twin, scaled)
 
     def test_deterministic(self, i1):
         instance = CctoInstance(i1, 0, 0, 3, 8)

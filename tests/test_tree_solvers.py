@@ -1,6 +1,7 @@
 """Tests for the tree-shaped and tuple-sparse solvers."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -105,6 +106,75 @@ class TestTreeClosed:
         assert checked >= 30
 
 
+def reference_partition_forest_paths(graph, subforest, source):
+    """The partition as first written: BFS each subforest component and
+    root it at its vertex nearest the source. The reference for the
+    parent-map version."""
+    if not graph.is_tree():
+        raise NotApplicableError("the underlying graph is not a tree")
+    edges = set()
+    adjacency = {}
+    for u, v in subforest:
+        edge = (min(u, v), max(u, v))
+        if edge not in graph.edges:
+            raise ValueError(f"subforest edge {edge} is not an edge of the graph")
+        if edge in edges:
+            continue
+        edges.add(edge)
+        adjacency.setdefault(edge[0], []).append(edge[1])
+        adjacency.setdefault(edge[1], []).append(edge[0])
+    depth = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in graph.neighbors(u):
+            if w not in depth:
+                depth[w] = depth[u] + 1
+                queue.append(w)
+    paths = []
+    assigned = set()
+    for first in sorted(adjacency):
+        if first in assigned:
+            continue
+        component = {first}
+        queue = deque([first])
+        while queue:
+            u = queue.popleft()
+            for w in adjacency[u]:
+                if w not in component:
+                    component.add(w)
+                    queue.append(w)
+        assigned |= component
+        root = min(component, key=lambda v: (depth[v], v))
+        cparent = {root: None}
+        children = {v: 0 for v in component}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adjacency[u]:
+                if w not in cparent:
+                    cparent[w] = u
+                    children[u] += 1
+                    queue.append(w)
+        covered = set()
+        for leaf in sorted(v for v in component if v != root and not children[v]):
+            chain = [leaf]
+            v = leaf
+            while v != root:
+                up = cparent[v]
+                edge = (min(v, up), max(v, up))
+                if edge in covered:
+                    break
+                covered.add(edge)
+                chain.append(up)
+                v = up
+            chain.reverse()
+            paths.append(chain)
+        if len(covered) != len(component) - 1:
+            raise AssertionError("leaf paths failed to cover the component")
+    return paths
+
+
 class TestPartition:
     def test_star_decomposes_into_single_edge_paths(self):
         tuples = [(0, leaf, leaf, leaf + 1, 1) for leaf in (1, 2, 3)]
@@ -149,6 +219,20 @@ class TestPartition:
                     seen.append((min(a, b), max(a, b)))
             assert sorted(seen) == sorted(chosen)
             assert len(set(seen)) == len(seen)
+
+    def test_matches_the_component_bfs_reference(self):
+        rng = random.Random(909)
+        for inst in random_tree_instances(909, 1200, n_range=(2, 16), horizon_range=(3, 6)):
+            graph = inst.graph
+            keep = rng.random()
+            chosen = {
+                edge if rng.random() < 0.5 else edge[::-1]
+                for edge in sorted(graph.edges) if rng.random() < keep
+            }
+            source = rng.randrange(graph.n)
+            assert partition_forest_paths(graph, chosen, source) == (
+                reference_partition_forest_paths(graph, chosen, source)
+            )
 
     def test_rejects_non_edges(self, i1):
         with pytest.raises(ValueError, match="not an edge"):
