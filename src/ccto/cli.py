@@ -56,6 +56,9 @@ EXIT_ERROR = 2
 EXIT_DISAGREEMENT = 3
 
 AUTO_ORACLE_LIMIT = 10
+# `build_time_expanded` makes one node per (vertex, time unit) however few
+# tuples there are, so `analyze --export-expanded` refuses above this.
+MAX_EXPANDED_NODES = 10**5
 
 
 def _colorcoding_mode(instance: CctoInstance) -> str:
@@ -190,6 +193,12 @@ def _label(graph, v):
 def cmd_analyze(args) -> int:
     file = load_instance(args.instance)
     graph = file.graph
+    nodes = graph.n * (graph.lifetime + 1)
+    if args.export_expanded and nodes > MAX_EXPANDED_NODES:
+        raise CapabilityError(
+            f"time-expanded graph would have {nodes} nodes, "
+            f"above the export cap {MAX_EXPANDED_NODES}"
+        )
     out = sys.stdout
     print(f"n {graph.n}", file=out)
     print(f"lifetime {graph.lifetime}", file=out)

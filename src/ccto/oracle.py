@@ -13,17 +13,21 @@ from .result import SolveResult
 MAX_ORACLE_VERTICES = 14
 MAX_WALK_ORACLE_VERTICES = 8
 MAX_WALK_ORACLE_LIFETIME = 10
+# Mask of a visited set that holds k vertices; -1 has every bit set.
+DONE = -1
 
 
 def solve_exact(instance: CctoInstance) -> SolveResult:
     """Solve an instance by dynamic programming over visited-vertex sets.
 
     States are (vertex, arrival time, visited bitmask) with minimal cost;
-    every transition strictly increases time, so one ascending sweep over
-    time 0 and the stored arrival times settles all labels. Optimal cost is
-    independent of the budget; the budget only decides feasibility.
-    Deterministic: states and moves are expanded in sorted order and labels
-    improve strictly.
+    once the set holds k vertices its mask becomes the single `DONE`
+    marker, so at most sum_{i<k} C(n-1, i) sets exist per (vertex, time)
+    instead of 2^(n-1). Every transition strictly increases time, so one
+    ascending sweep over time 0 and the stored arrival times settles all
+    labels. Optimal cost is independent of the budget; the budget only
+    decides feasibility. Deterministic: states and moves are expanded in
+    sorted order and labels improve strictly.
     """
     graph = instance.graph
     if graph.n > MAX_ORACLE_VERTICES:
@@ -31,34 +35,33 @@ def solve_exact(instance: CctoInstance) -> SolveResult:
             f"exhaustive solver handles at most {MAX_ORACLE_VERTICES} vertices, "
             f"got {graph.n}"
         )
-    start = (instance.source, 0, 1 << instance.source)
+    k = instance.k
+    start = (instance.source, 0, DONE if k == 1 else 1 << instance.source)
     labels = {start: 0}
     parent: dict = {}
-    by_time: dict[int, set] = {0: {start}}
+    by_time: dict[int, list] = {0: [start]}
     # States only ever sit at time 0 or at a stored arrival time.
     for t in sorted({0} | {arrive for _, _, _, arrive, _ in graph.tuples()}):
-        for state in sorted(by_time.get(t, ())):
+        for state in sorted(by_time.pop(t, ())):
             v, _, mask = state
             base = labels[state]
             for depart, arrive, w, cost in graph.moves_from(v):
                 if depart < t:
                     continue
-                nxt = (w, arrive, mask | (1 << w))
+                # DONE has every bit set, so the OR keeps it DONE.
+                grown = mask | (1 << w)
+                nxt = (w, arrive, DONE if grown.bit_count() == k else grown)
                 candidate = base + cost
-                if candidate < labels.get(nxt, INF):
-                    labels[nxt] = candidate
-                    parent[nxt] = (state, (v, w, depart, arrive))
-                    by_time.setdefault(arrive, set()).add(nxt)
-    best = INF
-    best_state = None
-    if instance.source == instance.sink and instance.k == 1:
-        best, best_state = 0, start
-    for state in sorted(labels):
-        v, _, mask = state
-        if v != instance.sink or bin(mask).count("1") < instance.k:
-            continue
-        if labels[state] < best:
-            best, best_state = labels[state], state
+                known = labels.get(nxt)
+                if known is None:
+                    by_time.setdefault(arrive, []).append(nxt)
+                elif candidate >= known:
+                    continue
+                labels[nxt] = candidate
+                parent[nxt] = (state, (v, w, depart, arrive))
+    accepted = [s for s in labels if s[0] == instance.sink and s[2] == DONE]
+    best_state = min(accepted, key=lambda s: (labels[s], s), default=None)
+    best = INF if best_state is None else labels[best_state]
     witness = None
     if best_state is not None:
         steps = []

@@ -107,11 +107,13 @@ def _holds(check, *args) -> bool:
 def _tree_parents(graph: TemporalCostGraph, root: int) -> dict:
     """Parent map of the tree rooted at `root` (the root maps to None), in
     breadth-first order, so every vertex comes after its parent."""
+    graph._check_vertex(root)
+    adjacency = graph._graph_index().adjacency
     parent = {root: None}
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for w in graph.neighbors(u):
+        for w in adjacency[u]:
             if w not in parent:
                 parent[w] = u
                 queue.append(w)

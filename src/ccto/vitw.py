@@ -16,6 +16,9 @@ from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph
 from .result import SolveResult
 
 MAX_BAG_WIDTH = 12
+# The solver steps through every time unit of the shifted horizon and keeps
+# parents per step, so it refuses axes longer than this.
+MAX_VITW_HORIZON = 20_000
 
 
 @dataclass
@@ -128,6 +131,10 @@ def solve_vitw(instance: CctoInstance, max_width: int = MAX_BAG_WIDTH) -> SolveR
     width = bag_width(work)
     if width > max_width:
         raise CapabilityError(f"bag width {width} exceeds the cap {max_width}")
+    if horizon > MAX_VITW_HORIZON:
+        raise CapabilityError(
+            f"shifted horizon {horizon} exceeds the time-unit cap {MAX_VITW_HORIZON}"
+        )
     endpoint_mask = (1 << source) | (1 << sink)
     bag_masks = []
     for bag in vitw_sequence(work).bags:

@@ -5,15 +5,19 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccto.cli import (
     AUTO_ORACLE_LIMIT,
+    MAX_EXPANDED_NODES,
     SOLVERS,
     _colorcoding_mode,
     build_parser,
     choose_solver,
     main,
 )
+from ccto.colorcoding import DEFAULT_FAILURE_PROB
 from ccto.core import CctoInstance, TemporalCostGraph
 from ccto.instances import (
     InstanceFile,
@@ -22,11 +26,12 @@ from ccto.instances import (
     random_instance,
     save_instance,
 )
-from ccto.result import SolveResult
+from ccto.oracle import solve_exact
+from ccto.result import SolveResult, verify_result
 from ccto.tree_solvers import sparse_triples_applicable, tree_closed_applicable
 from ccto.vitw import MAX_BAG_WIDTH, bag_width, vitw_sequence
 
-from conftest import I1_TUPLES, make_graph
+from conftest import I1_TUPLES, brute_force_best, make_graph
 
 I1_TEXT = """version 1
 n 3
@@ -280,6 +285,21 @@ class TestAnalyze:
         assert len(lines) == 22
         assert "0 1 1 2 2" in lines  # movement arc keeps its cost
         assert "0 0 0 1 0" in lines  # waiting arc is free
+
+    def test_export_expanded_refuses_above_the_node_cap(self, tmp_path, capsys):
+        scale = 10**7
+        path = tmp_path / "long.ccto"
+        save_instance(path, InstanceFile(make_graph(
+            3, [(u, v, d * scale, a * scale, c) for u, v, d, a, c in I1_TUPLES]
+        )))
+        target = tmp_path / "arcs.txt"
+        started = time.perf_counter()
+        assert main(["analyze", str(path), "--export-expanded", str(target)]) == 2
+        assert time.perf_counter() - started < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"export cap {MAX_EXPANDED_NODES}" in err
+        assert not target.exists()
 
     def test_long_time_axis_reports_intervals(self, tmp_path, capsys):
         scale = 10**7
@@ -612,3 +632,55 @@ class TestSolverTable:
         assert all(name in err for name in SOLVERS)
         assert main(["bench", "--solvers", "nope"]) == 2
         assert capsys.readouterr().out == ""
+
+
+def _tiny_instance(seed, n, horizon, extra, tree):
+    """A query on n vertices with a few stored tuples; on a tree every edge
+    carries one, so the tree solvers get to run, and a random half of the
+    edges is the subforest."""
+    rng = random.Random(seed)
+    if tree:
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        pairs = edges + [(v, u) for u, v in edges]
+        chosen = [rng.choice((edge, edge[::-1])) for edge in edges]
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        chosen = []
+    chosen += [rng.choice(pairs) for _ in range(extra)]
+    tuples = {}
+    for u, v in chosen:
+        depart = rng.randrange(horizon)
+        tuples[u, v, depart, rng.randint(depart + 1, horizon)] = rng.randint(1, 5)
+    graph = make_graph(n, [key + (cost,) for key, cost in tuples.items()])
+    subforest = {edge for edge in sorted(graph.edges) if rng.random() < 0.5}
+    source = rng.randrange(n)
+    sink = rng.choice((source, rng.randrange(n)))
+    query = CctoInstance(graph, source, sink, rng.randint(1, n + 1), rng.randint(0, 20))
+    return query, subforest if graph.is_tree() else ()
+
+
+@given(
+    st.integers(0, 2**32), st.integers(2, 5), st.integers(1, 6),
+    st.integers(0, 8), st.booleans(),
+)
+@settings(derandomize=True, deadline=None)
+def test_every_registry_solver_agrees_on_tiny_instances(seed, n, horizon, extra, tree):
+    instance, subforest = _tiny_instance(seed, n, horizon, extra, tree)
+    expected = solve_exact(instance)
+    assert expected.optimal_cost == brute_force_best(instance)[0]
+    for name, solver in SOLVERS.items():
+        if not solver.applicable(instance, subforest):
+            continue
+        modes = ("exhaustive", "randomized") if name == "colorcoding" else (None,)
+        for mode in modes:
+            args = argparse.Namespace(
+                mode=mode, seed=seed, trials=None, failure_prob=DEFAULT_FAILURE_PROB
+            )
+            result = solver.run(instance, subforest, args)
+            verify_result(instance, result)
+            if mode == "randomized":
+                assert result.optimal_cost >= expected.optimal_cost, name
+            else:
+                assert (result.feasible, result.optimal_cost) == (
+                    expected.feasible, expected.optimal_cost
+                ), name

@@ -7,7 +7,7 @@ import pytest
 from ccto.core import INF, CapabilityError, CctoInstance, walk_cost
 from ccto.instances import random_instance
 from ccto.oracle import min_cost_walk_oracle, solve_exact
-from ccto.result import verify_result
+from ccto.result import SolveResult, verify_result
 
 from conftest import (
     all_quadruples,
@@ -15,6 +15,55 @@ from conftest import (
     make_graph,
     random_tuple_set,
 )
+
+
+def uncapped_solve_exact(instance):
+    """The oracle before its visited sets were capped at k: every state
+    carries its full visited bitmask. The reference for the capped one."""
+    graph = instance.graph
+    start = (instance.source, 0, 1 << instance.source)
+    labels = {start: 0}
+    parent: dict = {}
+    by_time: dict[int, set] = {0: {start}}
+    for t in sorted({0} | {arrive for _, _, _, arrive, _ in graph.tuples()}):
+        for state in sorted(by_time.get(t, ())):
+            v, _, mask = state
+            base = labels[state]
+            for depart, arrive, w, cost in graph.moves_from(v):
+                if depart < t:
+                    continue
+                nxt = (w, arrive, mask | (1 << w))
+                candidate = base + cost
+                if candidate < labels.get(nxt, INF):
+                    labels[nxt] = candidate
+                    parent[nxt] = (state, (v, w, depart, arrive))
+                    by_time.setdefault(arrive, set()).add(nxt)
+    best = INF
+    best_state = None
+    if instance.source == instance.sink and instance.k == 1:
+        best, best_state = 0, start
+    for state in sorted(labels):
+        v, _, mask = state
+        if v != instance.sink or bin(mask).count("1") < instance.k:
+            continue
+        if labels[state] < best:
+            best, best_state = labels[state], state
+    witness = None
+    if best_state is not None:
+        steps = []
+        node = best_state
+        while node != start:
+            node, step = parent[node]
+            steps.append(step)
+        steps.reverse()
+        witness = steps
+    return SolveResult(
+        feasible=best <= instance.budget,
+        optimal_cost=best,
+        witness=witness,
+        solver="oracle",
+        stats={"states": len(labels)},
+    )
 
 
 class TestSolveExact:
@@ -126,6 +175,28 @@ class TestSolveExact:
             assert scaled.optimal_cost == plain.optimal_cost, seed
             assert scaled.stats["states"] == plain.stats["states"], seed
             verify_result(twin, scaled)
+
+    def test_k_cap_matches_the_uncapped_reference(self):
+        fewer = 0
+        for seed in range(520):
+            rng = random.Random(seed)
+            n = rng.randint(2, 9)
+            inst = random_instance(
+                seed=seed, n=n, horizon=rng.randint(4, 9),
+                density=rng.choice((0.2, 0.3, 0.45)),
+                shape="tree" if seed % 4 < 2 else "general",
+            )
+            source = inst.source
+            sink = source if seed % 2 else (source + rng.randrange(1, n)) % n
+            instance = CctoInstance(inst.graph, source, sink, rng.randint(1, n + 1), inst.budget)
+            expected, got = uncapped_solve_exact(instance), solve_exact(instance)
+            assert (got.feasible, got.optimal_cost) == (
+                expected.feasible, expected.optimal_cost
+            ), seed
+            verify_result(instance, got)
+            assert got.stats["states"] <= expected.stats["states"], seed
+            fewer += got.stats["states"] < expected.stats["states"]
+        assert fewer > 0
 
     def test_deterministic(self, i1):
         instance = CctoInstance(i1, 0, 0, 3, 8)

@@ -238,6 +238,12 @@ class TestPartition:
         with pytest.raises(ValueError, match="not an edge"):
             partition_forest_paths(i1, {(0, 2)}, 0)
 
+    def test_rejects_out_of_range_sources(self, i1):
+        # A negative id must not index the adjacency list from its end.
+        for source in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                partition_forest_paths(i1, {(1, 2)}, source)
+
 
 class TestSubforest:
     def test_reference_tour_with_subforest(self, i1):

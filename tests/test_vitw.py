@@ -7,7 +7,7 @@ import pytest
 from ccto.core import INF, CapabilityError, CctoInstance, TemporalCostGraph
 from ccto.oracle import solve_exact
 from ccto.result import verify_result
-from ccto.vitw import solve_vitw, vitw_sequence
+from ccto.vitw import MAX_VITW_HORIZON, solve_vitw, vitw_sequence
 
 from conftest import I1_TUPLES, I3_TUPLES, W1, instances_for_suite, make_graph
 
@@ -157,6 +157,15 @@ class TestSolveVitw:
         g = make_graph(14, [(u, v, d * scale, a * scale, c) for u, v, d, a, c in wide])
         start = time.perf_counter()
         with pytest.raises(CapabilityError, match="bag width 13 exceeds the cap 12"):
+            solve_vitw(CctoInstance(g, 0, 0, 3, 10))
+        assert time.perf_counter() - start < 1.0
+
+    def test_long_time_axis_fails_fast(self):
+        # Width 2 passes the width cap; 500,001 shifted time units do not.
+        scale = 10**5
+        g = make_graph(3, [(u, v, d * scale, a * scale, c) for u, v, d, a, c in I1_TUPLES])
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match=f"time-unit cap {MAX_VITW_HORIZON}"):
             solve_vitw(CctoInstance(g, 0, 0, 3, 10))
         assert time.perf_counter() - start < 1.0
 
