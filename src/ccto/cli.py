@@ -27,6 +27,7 @@ from .core import (
     CapabilityError,
     CctoInstance,
     NotApplicableError,
+    _holds,
 )
 from .expanded import build_time_expanded, export_arcs
 from .instances import (
@@ -48,14 +49,13 @@ from .tree_solvers import (
     subforest_applicable,
     tree_closed_applicable,
 )
-from .vitw import MAX_BAG_WIDTH, _live_intervals, bag_width, solve_vitw
+from .vitw import _live_intervals, bag_width, solve_vitw, vitw_window
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
 EXIT_ERROR = 2
 EXIT_DISAGREEMENT = 3
 
-AUTO_ORACLE_LIMIT = 10
 # `build_time_expanded` makes one node per (vertex, time unit) however few
 # tuples there are, so `analyze --export-expanded` refuses above this.
 MAX_EXPANDED_NODES = 10**5
@@ -83,7 +83,8 @@ def _run_colorcoding(instance, subforest, args):
 # called, so a test can substitute one by patching its name here.
 Solver = namedtuple("Solver", "run applicable")
 
-# Every solver the CLI offers, in `analyze` row order.
+# Every solver the CLI offers, in dispatch (and `analyze` row) order:
+# exact methods first, probabilistic last.
 SOLVERS = {
     "oracle": Solver(
         lambda instance, subforest, args: solve_exact(instance),
@@ -103,21 +104,17 @@ SOLVERS = {
     ),
     "vitw": Solver(
         lambda instance, subforest, args: solve_vitw(instance),
-        lambda instance, subforest: bag_width(instance.graph) <= MAX_BAG_WIDTH,
+        lambda instance, subforest: _holds(vitw_window, instance),
     ),
     "colorcoding": Solver(_run_colorcoding, lambda instance, subforest: True),
 }
 
-# Past the oracle, `auto` takes the first of these whose precondition holds:
-# cheapest exact method first, probabilistic last.
-AUTO_ORDER = ("sparse", "tree", "vitw", "colorcoding")
-
-
-def choose_solver(instance: CctoInstance) -> str:
-    """Deterministic dispatch; the budget precheck runs before it."""
-    if instance.graph.n <= AUTO_ORACLE_LIMIT:
-        return "oracle"
-    return next(name for name in AUTO_ORDER if SOLVERS[name].applicable(instance, ()))
+def choose_solver(instance: CctoInstance, subforest=()) -> str:
+    """The first `SOLVERS` row whose check passes; the budget precheck runs
+    before it."""
+    return next(
+        name for name, solver in SOLVERS.items() if solver.applicable(instance, subforest)
+    )
 
 
 def _query_from(args, file) -> CctoInstance:
@@ -180,7 +177,7 @@ def cmd_solve(args) -> int:
     if result is None:
         name = args.algorithm
         if name == "auto":
-            name = choose_solver(instance)
+            name = choose_solver(instance, file.subforest)
         result = SOLVERS[name].run(instance, file.subforest, args)
     _emit_result(result, args.format, sys.stdout)
     return EXIT_FEASIBLE if result.feasible else EXIT_INFEASIBLE

@@ -304,7 +304,6 @@ def solve_color_coding(
     trials=None,
     failure_prob: float = DEFAULT_FAILURE_PROB,
     seed=None,
-    exhaustive_cap: int = MAX_EXHAUSTIVE_COLOURINGS,
 ) -> SolveResult:
     """Solve by colouring the inner vertices and taking the best colourful
     answer.
@@ -337,9 +336,9 @@ def solve_color_coding(
 
     if mode == "exhaustive":
         bound = exhaustive_colouring_count(instance)
-        if bound > exhaustive_cap:
+        if bound > MAX_EXHAUSTIVE_COLOURINGS:
             raise CapabilityError(
-                f"{bound} colourings exceed the cap {exhaustive_cap}"
+                f"{bound} colourings exceed the cap {MAX_EXHAUSTIVE_COLOURINGS}"
             )
         colourings = (
             dict(zip(inner, assign)) for assign in _partitions(len(inner), palette)

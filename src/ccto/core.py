@@ -40,6 +40,15 @@ class CapabilityError(RuntimeError):
     """An instance exceeds a solver's configured size cap."""
 
 
+def _holds(check, *args) -> bool:
+    """Whether `check(*args)` passes; a refusal or an unknown edge fails it."""
+    try:
+        check(*args)
+    except (NotApplicableError, CapabilityError, ValueError):
+        return False
+    return True
+
+
 def tuple_problem(item: tuple, n: int, stored) -> Optional[str]:
     """Why `item` cannot join a graph on n vertices that already stores the
     (from, to, depart, arrive) keys in `stored`; None if it can."""

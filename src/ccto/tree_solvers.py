@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from .core import INF, CctoInstance, NotApplicableError, TemporalCostGraph
+from .core import INF, CctoInstance, NotApplicableError, TemporalCostGraph, _holds
 from .result import SolveResult
 
 MAX_SUBFOREST_PATHS = 4
@@ -93,15 +93,6 @@ def _sweep_solve(graph, start, step, accept, budget, solver, **stats):
         solver=solver,
         stats={"states": len(labels), **stats},
     )
-
-
-def _holds(check, *args) -> bool:
-    """Whether `check(*args)` passes; an unknown subforest edge fails it."""
-    try:
-        check(*args)
-    except (NotApplicableError, ValueError):
-        return False
-    return True
 
 
 def _tree_parents(graph: TemporalCostGraph, root: int) -> dict:

@@ -74,46 +74,30 @@ def bag_width(graph: TemporalCostGraph) -> int:
 
 
 def _trivial(instance):
-    """Result when the source can never move or the sink never be reached."""
-    if instance.source == instance.sink and instance.k == 1:
-        return SolveResult(
-            feasible=0 <= instance.budget,
-            optimal_cost=0,
-            witness=[],
-            solver="vitw",
-            stats={"trivial": True},
-        )
+    """Result when the source can never move or the sink never be reached:
+    only the one-vertex closed walk, which stays put for free."""
+    stay = instance.source == instance.sink and instance.k == 1
     return SolveResult(
-        feasible=False,
-        optimal_cost=INF,
-        witness=None,
+        feasible=stay and 0 <= instance.budget,
+        optimal_cost=0 if stay else INF,
+        witness=[] if stay else None,
         solver="vitw",
         stats={"trivial": True},
     )
 
 
-def solve_vitw(instance: CctoInstance, max_width: int = MAX_BAG_WIDTH) -> SolveResult:
-    """Bag-sequence dynamic program; exact for any instance, fast when the
-    bag width is small.
+def vitw_window(instance: CctoInstance):
+    """(shift, horizon, graph, width) of the window `solve_vitw` works on,
+    or None when the source never departs or the sink is never reached.
 
-    Times are first shifted so the earliest source departure is 1 and
-    truncated after the last arrival at the sink (tuples outside that window
-    are unusable). The source and sink are additionally kept in every bag
-    the program works with: the source is live before any arrival and the
-    sink must stay addressable after its last departure, while every other
-    vertex is only ever occupied inside its own interval. The reported bags
-    and width follow the two-sided definition unchanged.
-
-    States map (vertex, forgotten-visited count capped at k, visited subset
-    of the current bag) to minimum fuel, so the optimal cost is independent
-    of the budget; the budget decides feasibility only.
+    Times are shifted so the earliest source departure is 1 and truncated
+    after the last arrival at the sink; tuples outside are unusable. Both
+    caps are checked from vertex intervals, before any per-time bag.
     """
-    graph = instance.graph
-    source, sink, k = instance.source, instance.sink, instance.k
-
-    source_departs = [m for m in graph.moves_from(source)]
+    graph, sink = instance.graph, instance.sink
+    source_departs = graph.moves_from(instance.source)
     if not source_departs:
-        return _trivial(instance)
+        return None
     shift = 1 - min(depart for depart, _, _, _ in source_departs)
     shifted = [
         (u, v, depart + shift, arrive + shift, cost)
@@ -122,19 +106,38 @@ def solve_vitw(instance: CctoInstance, max_width: int = MAX_BAG_WIDTH) -> SolveR
     ]
     sink_arrivals = [arrive for _, v, _, arrive, _ in shifted if v == sink]
     if not sink_arrivals:
-        return _trivial(instance)
+        return None
     horizon = max(sink_arrivals)
-    work = TemporalCostGraph(
-        graph.n, [t for t in shifted if t[3] <= horizon]
-    )
-    # Check the cap before building the bags: one set per time unit.
+    work = TemporalCostGraph(graph.n, [t for t in shifted if t[3] <= horizon])
     width = bag_width(work)
-    if width > max_width:
-        raise CapabilityError(f"bag width {width} exceeds the cap {max_width}")
+    if width > MAX_BAG_WIDTH:
+        raise CapabilityError(f"bag width {width} exceeds the cap {MAX_BAG_WIDTH}")
     if horizon > MAX_VITW_HORIZON:
         raise CapabilityError(
             f"shifted horizon {horizon} exceeds the time-unit cap {MAX_VITW_HORIZON}"
         )
+    return shift, horizon, work, width
+
+
+def solve_vitw(instance: CctoInstance) -> SolveResult:
+    """Bag-sequence dynamic program; exact for any instance, fast when the
+    bag width is small.
+
+    It runs on `vitw_window`'s shifted, truncated graph, keeping the source
+    and sink in every bag: the source is live before any arrival and the
+    sink must stay addressable after its last departure, while every other
+    vertex is only ever occupied inside its own interval. The reported
+    width follows the two-sided definition unchanged.
+
+    States map (vertex, forgotten-visited count capped at k, visited subset
+    of the current bag) to minimum fuel, so the optimal cost is independent
+    of the budget; the budget decides feasibility only.
+    """
+    source, sink, k = instance.source, instance.sink, instance.k
+    window = vitw_window(instance)
+    if window is None:
+        return _trivial(instance)
+    shift, horizon, work, width = window
     endpoint_mask = (1 << source) | (1 << sink)
     bag_masks = []
     for bag in vitw_sequence(work).bags:

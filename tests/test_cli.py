@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccto.cli import (
-    AUTO_ORACLE_LIMIT,
     MAX_EXPANDED_NODES,
     SOLVERS,
     _colorcoding_mode,
@@ -18,7 +17,12 @@ from ccto.cli import (
     main,
 )
 from ccto.colorcoding import DEFAULT_FAILURE_PROB
-from ccto.core import CctoInstance, TemporalCostGraph
+from ccto.core import (
+    CapabilityError,
+    CctoInstance,
+    NotApplicableError,
+    TemporalCostGraph,
+)
 from ccto.instances import (
     InstanceFile,
     from_edge_labels,
@@ -26,10 +30,14 @@ from ccto.instances import (
     random_instance,
     save_instance,
 )
-from ccto.oracle import solve_exact
+from ccto.oracle import MAX_ORACLE_VERTICES, solve_exact
 from ccto.result import SolveResult, verify_result
-from ccto.tree_solvers import sparse_triples_applicable, tree_closed_applicable
-from ccto.vitw import MAX_BAG_WIDTH, bag_width, vitw_sequence
+from ccto.tree_solvers import (
+    sparse_triples_applicable,
+    subforest_applicable,
+    tree_closed_applicable,
+)
+from ccto.vitw import MAX_BAG_WIDTH, bag_width, solve_vitw, vitw_sequence, vitw_window
 
 from conftest import I1_TUPLES, brute_force_best, make_graph
 
@@ -200,38 +208,82 @@ class TestSolve:
         assert all(lines == ["cost 8"] for lines in costs.values())
 
 
+def _busy_star(n, extra=()):
+    """Hub 0 visits each leaf in turn and comes back; `extra` tuples ride
+    along. Every vertex but the hub touches two tuples."""
+    tuples = list(extra)
+    for v in range(1, n):
+        tuples += [(0, v, 2 * v - 1, 2 * v, 1), (v, 0, 2 * v, 2 * v + 1, 1)]
+    return make_graph(n, tuples)
+
+
+# Two more crossings of edge (0, 1) after the tour: usable 4 times.
+BUSY_EDGE_EXTRA = [(0, 1, 32, 33, 1), (1, 0, 33, 34, 1)]
+
+# A directed 12-cycle on a long time axis: 39 unit moves, 3000 apart.
+LONG_CYCLE_TEXT = "version 1\nn 12\n" + "".join(
+    f"tuple {t % 12} {(t + 1) % 12} {3000 * t} {3000 * t + 1} 1\n" for t in range(1, 40)
+) + "query 1 1 3 100\n"
+
+
 class TestChooseSolver:
     def test_small_instances_go_to_the_oracle(self, i1):
         assert choose_solver(CctoInstance(i1, 0, 0, 3, 8)) == "oracle"
 
     def test_sparse_wins_past_oracle_size(self):
-        tuples = [(v, v + 1, 2 * v + 1, 2 * v + 2, 1) for v in range(11)]
-        g = make_graph(12, tuples)
-        assert choose_solver(CctoInstance(g, 0, 11, 2, 20)) == "sparse"
+        tuples = [(v, v + 1, 2 * v + 1, 2 * v + 2, 1) for v in range(15)]
+        g = make_graph(16, tuples)
+        assert choose_solver(CctoInstance(g, 0, 15, 2, 20)) == "sparse"
 
     def test_tree_when_too_busy_for_sparse(self):
-        tuples = []
-        for v in range(1, 12):
-            tuples += [(0, v, 2 * v - 1, 2 * v, 1), (v, 0, 2 * v, 2 * v + 1, 1)]
-        g = make_graph(12, tuples)
-        assert choose_solver(CctoInstance(g, 0, 0, 3, 30)) == "tree"
+        assert choose_solver(CctoInstance(_busy_star(16), 0, 0, 3, 30)) == "tree"
+
+    def test_subforest_for_open_walks_on_trees(self):
+        assert choose_solver(CctoInstance(_busy_star(16), 0, 5, 3, 30)) == "subforest"
 
     def test_vitw_for_open_walks_on_busy_trees(self):
-        tuples = []
-        for v in range(1, 12):
-            tuples += [(0, v, 2 * v - 1, 2 * v, 1), (v, 0, 2 * v, 2 * v + 1, 1)]
-        g = make_graph(12, tuples)
+        # Edge (0, 1) is usable 4 times, so subforest refuses.
+        g = _busy_star(16, BUSY_EDGE_EXTRA)
+        assert g.max_traversal_number(0, 1) == 4
         assert choose_solver(CctoInstance(g, 0, 5, 3, 30)) == "vitw"
 
+    def test_long_axis_falls_through_past_vitw(self):
+        # The vitw case with times x3000: narrow bags, but the shifted
+        # horizon passes the cap, so dispatch must not pick vitw.
+        g = _busy_star(16, BUSY_EDGE_EXTRA)
+        g = make_graph(16, [(u, v, 3000 * d, 3000 * a, c) for u, v, d, a, c in g.tuples()])
+        inst = CctoInstance(g, 0, 5, 3, 30)
+        assert bag_width(g) <= MAX_BAG_WIDTH
+        with pytest.raises(CapabilityError, match="time-unit cap"):
+            solve_vitw(inst)
+        assert choose_solver(inst) == "colorcoding"
+
     def test_colorcoding_is_the_fallback(self):
-        # Wide bags (13 simultaneous vertices), a cycle edge, open query:
-        # nothing cheaper applies.
+        # Wide bags (15 simultaneous vertices) and a cycle edge: nothing
+        # cheaper applies.
         tuples = []
-        for v in range(1, 14):
+        for v in range(1, 16):
             tuples += [(0, v, 1, 2, 1), (v, 0, 3, 4, 1)]
         tuples += [(1, 2, 2, 3, 1)]
-        g = make_graph(14, tuples)
-        assert choose_solver(CctoInstance(g, 0, 2, 3, 10)) == "colorcoding"
+        g = make_graph(16, tuples)
+        assert choose_solver(CctoInstance(g, 0, 0, 3, 10)) == "colorcoding"
+
+    def test_long_axis_cycle_solves_exactly(self, tmp_path, capsys):
+        path = tmp_path / "long.ccto"
+        path.write_text(LONG_CYCLE_TEXT)
+        assert main(["solve", str(path), "--format", "structured"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "solver oracle" in out and "cost 12" in out
+
+    def test_dispatch_judges_the_file_subforest(self, tmp_path, capsys):
+        # Edge (0, 1) is too busy outside a forest; inside it, subforest runs.
+        g = _busy_star(16, BUSY_EDGE_EXTRA)
+        inst = CctoInstance(g, 0, 5, 3, 30)
+        assert choose_solver(inst, [(0, 1)]) == "subforest"
+        path = tmp_path / "forest.ccto"
+        save_instance(path, InstanceFile(g, inst, ((0, 1),)))
+        assert main(["solve", str(path), "--format", "structured"]) == 0
+        assert "solver subforest" in capsys.readouterr().out.splitlines()
 
     def test_colorcoding_mode_split(self):
         small = CctoInstance(make_graph(3, I1_TUPLES), 0, 0, 3, 8)
@@ -477,16 +529,16 @@ class TestBench:
 
 
 def _dispatch_instances():
-    """Seeded instances past the oracle limit that reach every branch of
+    """Seeded instances past the oracle cap that reach every branch of
     dispatch after the oracle."""
     for seed in range(60):
         shape = "general" if seed % 2 else "tree"
         density = (0.05, 0.15, 0.5)[seed % 3]
-        yield random_instance(seed=seed, n=11 + seed % 5, horizon=8, density=density, shape=shape)
+        yield random_instance(seed=seed, n=15 + seed % 5, horizon=8, density=density, shape=shape)
     for seed in range(10):
         # Labelled trees with closed queries, as the tree solver wants.
         rng = random.Random(seed)
-        n = 12 + seed
+        n = 15 + seed
         labels = {(rng.randrange(v), v): rng.sample(range(2 * n), 2) for v in range(1, n)}
         yield CctoInstance(from_edge_labels(n, labels), 0, 0, 4, 2 * n)
 
@@ -535,15 +587,19 @@ class TestDispatchBagWidth:
 def if_chain_choose_solver(instance):
     """Dispatch as an explicit if-chain: the reference for the table walk."""
     graph = instance.graph
-    if graph.n <= AUTO_ORACLE_LIMIT:
+    if graph.n <= MAX_ORACLE_VERTICES:
         return "oracle"
     if sparse_triples_applicable(graph):
         return "sparse"
     if tree_closed_applicable(instance):
         return "tree"
-    if bag_width(graph) <= MAX_BAG_WIDTH:
-        return "vitw"
-    return "colorcoding"
+    if subforest_applicable(instance):
+        return "subforest"
+    try:
+        vitw_window(instance)
+    except CapabilityError:
+        return "colorcoding"
+    return "vitw"
 
 
 # A two-vertex tree whose one edge can be crossed 4 times.
@@ -684,3 +740,44 @@ def test_every_registry_solver_agrees_on_tiny_instances(seed, n, horizon, extra,
                 assert (result.feasible, result.optimal_cost) == (
                     expected.feasible, expected.optimal_cost
                 ), name
+
+
+def _twins(instance):
+    """The instance, its long-axis twin (times x10^5, so any vitw window
+    passes the horizon cap) and its wide-bag twin (13 new leaves of the
+    source, all live at once before every old move)."""
+    graph, n = instance.graph, instance.graph.n
+    query = (instance.source, instance.sink, instance.k, instance.budget)
+    leaves = [(instance.source, x, 1, 2, 1) for x in range(n, n + 13)]
+    leaves += [(x, instance.source, 3, 4, 1) for x in range(n, n + 13)]
+    scaled = [(u, v, d * 10**5, a * 10**5, c) for u, v, d, a, c in graph.tuples()]
+    shifted = [(u, v, d + 4, a + 4, c) for u, v, d, a, c in graph.tuples()]
+    yield instance
+    yield CctoInstance(make_graph(n, scaled), *query)
+    yield CctoInstance(make_graph(n + 13, shifted + leaves), *query)
+
+
+@given(
+    st.integers(0, 2**32), st.integers(2, 5), st.integers(1, 6),
+    st.integers(0, 8), st.booleans(),
+)
+@settings(derandomize=True, deadline=None)
+def test_applicable_exactly_when_run_does_not_refuse(seed, n, horizon, extra, tree):
+    base, subforest = _tiny_instance(seed, n, horizon, extra, tree)
+    args = argparse.Namespace(
+        mode=None, seed=seed, trials=None, failure_prob=DEFAULT_FAILURE_PROB
+    )
+    for instance in _twins(base):
+        for name, solver in SOLVERS.items():
+            applicable = solver.applicable(instance, subforest)
+            # Colour coding never refuses in the CLI's mode; past n = 8 it
+            # is only too slow to run here.
+            if name == "colorcoding" and instance.graph.n > 8:
+                assert applicable
+                continue
+            try:
+                solver.run(instance, subforest, args)
+            except (NotApplicableError, CapabilityError):
+                assert not applicable, name
+            else:
+                assert applicable, name

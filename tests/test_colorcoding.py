@@ -7,7 +7,9 @@ import pytest
 
 from ccto.core import INF, CapabilityError, CctoInstance, TemporalCostGraph
 from ccto.colorcoding import (
+    MAX_EXHAUSTIVE_COLOURINGS,
     all_pairs_min_walk,
+    exhaustive_colouring_count,
     ordered_walk_min,
     solve_color_coding,
     solve_colourful,
@@ -280,10 +282,13 @@ class TestSolveColorCoding:
         assert result.optimal_cost == INF
 
     def test_exhaustive_cap(self):
+        # 10 inner vertices, 4 inner colours: 4^10 colourings pass the cap,
+        # which is refused before any sweep runs.
         g = make_graph(12, [(0, 1, 1, 2, 1)])
         instance = CctoInstance(g, 0, 1, 6, 99)
-        with pytest.raises(CapabilityError):
-            solve_color_coding(instance, "exhaustive", exhaustive_cap=1000)
+        assert exhaustive_colouring_count(instance) > MAX_EXHAUSTIVE_COLOURINGS
+        with pytest.raises(CapabilityError, match="colourings exceed the cap"):
+            solve_color_coding(instance, "exhaustive")
 
     def test_exhaustive_matches_oracle(self):
         for inst in instances_for_suite(seed=6011, count=80):
