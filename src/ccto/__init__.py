@@ -3,7 +3,6 @@
 from .colorcoding import (
     MinWalkTable,
     all_pairs_min_walk,
-    ordered_walk_min,
     solve_color_coding,
     solve_colourful,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "from_edge_labels",
     "load_instance",
     "min_cost_walk_oracle",
-    "ordered_walk_min",
     "parse_instance",
     "partition_forest_paths",
     "random_instance",

@@ -9,10 +9,11 @@ A walk that must show all k colours visits k distinct vertices, and any
 walk through k distinct vertices is colourful under some colouring that
 separates those vertices, which is what makes the reduction exact.
 
-The paper's colour-order decomposition is kept as the reference the sweep
-is tested against: a table of minimum walk costs between all vertex/time
-pairs and a dynamic program over walks whose colours first appear in a
-prescribed order.
+`all_pairs_min_walk` tabulates minimum walk costs between all vertex/time
+pairs. The paper's colour-order decomposition, a dynamic program over
+walks whose colours first appear in a prescribed order, is built on it and
+lives in tests/test_colorcoding.py as the reference the sweep is checked
+against.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .tree_solvers import _sweep_solve
 
 MAX_EXHAUSTIVE_COLOURINGS = 1_000_000
 DEFAULT_FAILURE_PROB = 1e-3
-
-_CARRY = ("carry",)
 
 
 @dataclass
@@ -119,108 +118,6 @@ def all_pairs_min_walk(graph: TemporalCostGraph, restrict_to=None) -> MinWalkTab
                     base, origin_t = best[x]
                     settle(x, y, d, land, base + cost, origin_t)
     return MinWalkTable(n, horizon, entries, parents)
-
-
-def _classes(colouring):
-    """colour -> sorted tuple of its vertices."""
-    out: dict = {}
-    for v in sorted(colouring):
-        out.setdefault(colouring[v], []).append(v)
-    return {c: tuple(vs) for c, vs in out.items()}
-
-
-def _ordered_run(graph, classes, order):
-    """Fill, colour by colour in `order`, the cheapest cost of reaching each
-    vertex of the current colour by each time, with that vertex the first of
-    its colour on the walk and all earlier stops of already-placed colours.
-
-    Returns per-step (table, costs, backpointers); costs[v][t] is monotone
-    in t (waiting is free), backpointers record either the realizing move
-    (previous vertex, its departure time) or a carry from t - 1.
-    """
-    horizon = graph.lifetime
-    source = classes[order[0]][0]
-    steps: list = [None]
-    prev_costs = {source: [0] * (horizon + 1)}
-    placed = set(classes[order[0]])
-    prev_class = classes[order[0]]
-    for colour in order[1:]:
-        table = all_pairs_min_walk(graph, placed)
-        costs = {}
-        bp = {}
-        for v in classes.get(colour, ()):
-            row = [INF] * (horizon + 1)
-            row_bp = [None] * (horizon + 1)
-            for t2 in range(1, horizon + 1):
-                for vp in prev_class:
-                    prow = prev_costs[vp]
-                    for t1 in range(t2):
-                        if prow[t1] == INF:
-                            continue
-                        leg = table.cost(vp, v, t1, t2)
-                        if leg == INF:
-                            continue
-                        cand = prow[t1] + leg
-                        if cand < row[t2]:
-                            row[t2] = cand
-                            row_bp[t2] = (vp, t1)
-                if row[t2 - 1] < row[t2]:
-                    row[t2] = row[t2 - 1]
-                    row_bp[t2] = _CARRY
-            costs[v] = row
-            bp[v] = row_bp
-        steps.append((table, costs, bp))
-        placed |= set(classes.get(colour, ()))
-        prev_class = classes.get(colour, ())
-        prev_costs = costs
-    return steps
-
-
-def _rebuild_ordered(steps, order, classes, v, t):
-    legs = []
-    for i in range(len(order) - 1, 0, -1):
-        table, _costs, bp = steps[i]
-        while bp[v][t] is _CARRY:
-            t -= 1
-        vp, t1 = bp[v][t]
-        legs.append(table.walk(vp, v, t1, t))
-        v, t = vp, t1
-    legs.reverse()
-    return [step for leg in legs for step in leg]
-
-
-def ordered_walk_min(graph, colouring, order):
-    """Cheapest walk whose colours first appear exactly in `order`.
-
-    `colouring` maps vertices to colours; colour 0 must be exactly one
-    vertex (the start), `order` must be a permutation of the used colours
-    beginning with 0. Uncoloured vertices are off limits. Returns
-    (cost, steps) with steps None when no such walk exists; the walk ends
-    at the vertex where the last colour first appeared.
-    """
-    classes = _classes(colouring)
-    _check_colour_zero(classes, order, set(colouring.values()))
-    if len(order) == 1:
-        return 0, []
-    steps = _ordered_run(graph, classes, order)
-    _table, costs, _bp = steps[-1]
-    horizon = graph.lifetime
-    best, best_v = INF, None
-    for v in classes.get(order[-1], ()):
-        if costs[v][horizon] < best:
-            best, best_v = costs[v][horizon], v
-    if best_v is None:
-        return INF, None
-    return best, _rebuild_ordered(steps, order, classes, best_v, horizon)
-
-
-def _check_colour_zero(classes, order, used_colours):
-    if len(classes.get(0, ())) != 1:
-        raise ValueError("colour 0 must be exactly the start vertex")
-    if not order or order[0] != 0:
-        raise ValueError("colour order must start with colour 0")
-    if set(order) != used_colours or len(order) != len(set(order)):
-        raise ValueError("colour order must permute the used colours")
 
 
 def _palette(graph, source, sink, k):
@@ -321,6 +218,8 @@ def solve_color_coding(
     graph, source, sink = instance.graph, instance.source, instance.sink
     k, budget = instance.k, instance.budget
     inner, palette = _palette(graph, source, sink, k)
+    if mode == "randomized" and not 0 < failure_prob < 1:
+        raise ValueError(f"failure probability {failure_prob} is not in (0, 1)")
 
     if palette <= 0:
         result = solve_colourful(graph, source, sink, k, {}, budget)
@@ -347,7 +246,7 @@ def solve_color_coding(
         if seed is None:
             raise ValueError("randomized mode needs a seed")
         if trials is None:
-            trials = math.ceil(math.e**palette * math.log(1 / failure_prob))
+            trials = math.ceil(math.e**palette * -math.log(failure_prob))
         if trials < 1:
             raise ValueError("randomized mode needs at least one trial")
         colourings = (

@@ -37,7 +37,7 @@ class NotApplicableError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """An instance exceeds a solver's configured size cap."""
+    """An instance exceeds a configured size cap (a solver's, or the file vertex cap)."""
 
 
 def _holds(check, *args) -> bool:

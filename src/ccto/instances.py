@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .core import CctoInstance, TemporalCostGraph, tuple_problem
+from .core import CapabilityError, CctoInstance, TemporalCostGraph, tuple_problem
 
 FORMAT_VERSION = 1
+# The graph keeps per-vertex structures, so a file's n alone could exhaust
+# memory; perfbench's largest instances have 600 vertices.
+MAX_FILE_VERTICES = 10**5
 
 
 @dataclass
@@ -91,6 +94,10 @@ def parse_instance(text: str) -> InstanceFile:
             (n,) = _ints(lineno, fields[1:])
             if n < 1:
                 _fail(lineno, f"vertex count must be positive, got {n}")
+            if n > MAX_FILE_VERTICES:
+                raise CapabilityError(
+                    f"line {lineno}: {n} vertices exceed the vertex cap {MAX_FILE_VERTICES}"
+                )
             continue
         if n is None:
             _fail(lineno, f"{kind} directive before n")

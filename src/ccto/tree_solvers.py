@@ -338,16 +338,11 @@ def solve_sparse_triples(instance: CctoInstance) -> SolveResult:
     _check_sparse_triples(instance.graph)
     graph, k = instance.graph, instance.k
     source, sink = instance.source, instance.sink
-    closed = source == sink
-    start = (source, 0, 1) if closed else (source, 0, 1, False)
+    # A closed walk's sink is the source, already counted: it starts seen.
+    start = (source, 0, 1, source == sink)
 
     def step(state, move):
         _, arrive, w, _cost = move
-        if closed:
-            count = state[2]
-            if w != source:
-                count = min(count + 1, k)
-            return (w, arrive, count)
         count, seen = state[2], state[3]
         if w == sink and not seen:
             return (w, arrive, min(count + 1, k), True)

@@ -24,6 +24,7 @@ from ccto.core import (
     TemporalCostGraph,
 )
 from ccto.instances import (
+    MAX_FILE_VERTICES,
     InstanceFile,
     from_edge_labels,
     load_instance,
@@ -159,6 +160,17 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "result: not found (failure prob <= 0.001)" in out
         assert "result: infeasible" not in out
+
+    @pytest.mark.parametrize("prob", ["0", "1", "1.5", "nan"])
+    def test_failure_prob_outside_0_1_is_a_usage_error(self, i1_path, capsys, prob):
+        argv = ["solve", i1_path, "--algorithm", "colorcoding", "--mode", "randomized"]
+        assert main(argv + ["--failure-prob", prob]) == 2
+        assert "not in (0, 1)" in capsys.readouterr().err
+
+    def test_tiny_failure_prob_answers(self, i1_path, capsys):
+        argv = ["solve", i1_path, "--algorithm", "colorcoding", "--mode", "randomized"]
+        assert main(argv + ["--failure-prob", "1e-320", "--format", "structured"]) == 0
+        assert "cost 8\n" in capsys.readouterr().out
 
     def test_colorcoding_mode_follows_the_solver_cap(self, tmp_path, capsys):
         # Closed query: 13 inner vertices, 4 inner colours, so 4^13
@@ -353,6 +365,17 @@ class TestAnalyze:
         assert f"export cap {MAX_EXPANDED_NODES}" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "solve"])
+    def test_vertex_count_above_the_cap_fails_fast(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.ccto"
+        path.write_text("version 1\nn 10000000\ntuple 0 1 1 2 1\nquery 0 1 2 5\n")
+        started = time.perf_counter()
+        assert main([command, str(path)]) == 2
+        assert time.perf_counter() - started < 1
+        assert f"line 2: 10000000 vertices exceed the vertex cap {MAX_FILE_VERTICES}" in (
+            capsys.readouterr().err
+        )
+
     def test_long_time_axis_reports_intervals(self, tmp_path, capsys):
         scale = 10**7
         path = tmp_path / "long.ccto"
@@ -404,6 +427,18 @@ class TestGenerate:
 
     def test_from_temporal_needs_edges(self, capsys):
         assert main(["generate", "from-temporal"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["from-temporal", "--edge", "0 @ 3"], "expected 'u v @ t1,t2,...'"),
+            (["from-temporal", "--edge", "0 1 @"], "no departure times"),
+            (["star-exp", "--leaves", "2"], "star-exp needs --labels"),
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, capsys, argv, message):
+        assert main(["generate", *argv]) == 2
+        assert message in capsys.readouterr().err
 
     def test_random_is_deterministic(self, tmp_path, capsys):
         argv = ["generate", "random", "--seed", "7", "--n", "4", "--horizon", "5"]

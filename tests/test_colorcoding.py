@@ -1,4 +1,8 @@
-"""Tests for the walk-cost table and the colour-order solvers."""
+"""Tests for the walk-cost table and the colour-coding solvers.
+
+The paper's colour-order decomposition (`ordered_walk_min`) is defined
+here as the reference that the colour-subset sweep is checked against.
+"""
 
 import itertools
 import math
@@ -10,7 +14,6 @@ from ccto.colorcoding import (
     MAX_EXHAUSTIVE_COLOURINGS,
     all_pairs_min_walk,
     exhaustive_colouring_count,
-    ordered_walk_min,
     solve_color_coding,
     solve_colourful,
 )
@@ -80,6 +83,111 @@ class TestMinWalkTable:
                 costs = [t.cost(u, v, t1, t2) for t in tables]
                 assert costs == sorted(costs, reverse=True)
                 assert costs[-1] == all_pairs_min_walk(inst.graph).cost(u, v, t1, t2)
+
+
+_CARRY = ("carry",)
+
+
+def _classes(colouring):
+    """colour -> sorted tuple of its vertices."""
+    out: dict = {}
+    for v in sorted(colouring):
+        out.setdefault(colouring[v], []).append(v)
+    return {c: tuple(vs) for c, vs in out.items()}
+
+
+def _ordered_run(graph, classes, order):
+    """Fill, colour by colour in `order`, the cheapest cost of reaching each
+    vertex of the current colour by each time, with that vertex the first of
+    its colour on the walk and all earlier stops of already-placed colours.
+
+    Returns per-step (table, costs, backpointers); costs[v][t] is monotone
+    in t (waiting is free), backpointers record either the realizing move
+    (previous vertex, its departure time) or a carry from t - 1.
+    """
+    horizon = graph.lifetime
+    source = classes[order[0]][0]
+    steps: list = [None]
+    prev_costs = {source: [0] * (horizon + 1)}
+    placed = set(classes[order[0]])
+    prev_class = classes[order[0]]
+    for colour in order[1:]:
+        table = all_pairs_min_walk(graph, placed)
+        costs = {}
+        bp = {}
+        for v in classes.get(colour, ()):
+            row = [INF] * (horizon + 1)
+            row_bp = [None] * (horizon + 1)
+            for t2 in range(1, horizon + 1):
+                for vp in prev_class:
+                    prow = prev_costs[vp]
+                    for t1 in range(t2):
+                        if prow[t1] == INF:
+                            continue
+                        leg = table.cost(vp, v, t1, t2)
+                        if leg == INF:
+                            continue
+                        cand = prow[t1] + leg
+                        if cand < row[t2]:
+                            row[t2] = cand
+                            row_bp[t2] = (vp, t1)
+                if row[t2 - 1] < row[t2]:
+                    row[t2] = row[t2 - 1]
+                    row_bp[t2] = _CARRY
+            costs[v] = row
+            bp[v] = row_bp
+        steps.append((table, costs, bp))
+        placed |= set(classes.get(colour, ()))
+        prev_class = classes.get(colour, ())
+        prev_costs = costs
+    return steps
+
+
+def _rebuild_ordered(steps, order, classes, v, t):
+    legs = []
+    for i in range(len(order) - 1, 0, -1):
+        table, _costs, bp = steps[i]
+        while bp[v][t] is _CARRY:
+            t -= 1
+        vp, t1 = bp[v][t]
+        legs.append(table.walk(vp, v, t1, t))
+        v, t = vp, t1
+    legs.reverse()
+    return [step for leg in legs for step in leg]
+
+
+def ordered_walk_min(graph, colouring, order):
+    """Cheapest walk whose colours first appear exactly in `order`.
+
+    `colouring` maps vertices to colours; colour 0 must be exactly one
+    vertex (the start), `order` must be a permutation of the used colours
+    beginning with 0. Uncoloured vertices are off limits. Returns
+    (cost, steps) with steps None when no such walk exists; the walk ends
+    at the vertex where the last colour first appeared.
+    """
+    classes = _classes(colouring)
+    _check_colour_zero(classes, order, set(colouring.values()))
+    if len(order) == 1:
+        return 0, []
+    steps = _ordered_run(graph, classes, order)
+    _table, costs, _bp = steps[-1]
+    horizon = graph.lifetime
+    best, best_v = INF, None
+    for v in classes.get(order[-1], ()):
+        if costs[v][horizon] < best:
+            best, best_v = costs[v][horizon], v
+    if best_v is None:
+        return INF, None
+    return best, _rebuild_ordered(steps, order, classes, best_v, horizon)
+
+
+def _check_colour_zero(classes, order, used_colours):
+    if len(classes.get(0, ())) != 1:
+        raise ValueError("colour 0 must be exactly the start vertex")
+    if not order or order[0] != 0:
+        raise ValueError("colour order must start with colour 0")
+    if set(order) != used_colours or len(order) != len(set(order)):
+        raise ValueError("colour order must permute the used colours")
 
 
 class TestOrderedWalkMin:
@@ -331,6 +439,21 @@ class TestSolveColorCoding:
             solve_color_coding(
                 CctoInstance(i1, 0, 0, 3, 8), "randomized", seed=1, trials=0
             )
+
+    @pytest.mark.parametrize("prob", [0, 1, 1.5, -0.5, math.nan, math.inf])
+    def test_failure_prob_must_lie_strictly_between_0_and_1(self, i1, prob):
+        with pytest.raises(ValueError, match=r"not in \(0, 1\)"):
+            solve_color_coding(
+                CctoInstance(i1, 0, 0, 3, 8), "randomized", seed=1, failure_prob=prob
+            )
+
+    def test_tiny_failure_prob_answers(self, i1):
+        # 1/1e-320 overflows a float; -log(1e-320) does not.
+        result = solve_color_coding(
+            CctoInstance(i1, 0, 0, 3, 8), "randomized", seed=1, failure_prob=1e-320
+        )
+        assert result.feasible and result.optimal_cost == 8
+        assert result.stats["trials"] == math.ceil(math.e**2 * 320 * math.log(10))
 
     def test_unknown_mode(self, i1):
         with pytest.raises(ValueError):

@@ -262,6 +262,19 @@ class TestWalks:
         report = validate_walk(i1, [(0, 2, 1, 3)], 0)
         assert not report.ok and "infinite" in report.reason
 
+    @pytest.mark.parametrize(
+        "walk, reason",
+        [
+            ([(0, 1, 1)], "is not a quadruple"),
+            ([(0, 5, 1, 2)], "vertex id 5 out of range"),
+            ([(0, 1, 2, 2)], "does not advance time"),
+        ],
+    )
+    def test_malformed_steps_are_reported(self, i1, walk, reason):
+        report = validate_walk(i1, walk, 0)
+        assert not report.ok and report.step_index == 0
+        assert reason in report.reason
+
     def test_walk_cost_rejects_invalid(self, i1):
         with pytest.raises(ValueError):
             walk_cost(i1, [(0, 2, 1, 3)])

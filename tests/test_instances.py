@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccto.core import CctoInstance
+from ccto.core import CapabilityError, CctoInstance
 from ccto.instances import (
+    MAX_FILE_VERTICES,
     InstanceFile,
     from_edge_labels,
     parse_instance,
@@ -93,6 +94,12 @@ class TestParsing:
             ("version 1\nn 2\nsubforest 1 1\n", 3, "differ"),
             ("version 1\nn 2\nwalk 0 1\n", 3, "unknown directive"),
             ("version 1\nn 2\ntuple 0 1 0 1\n", 3, "takes"),
+            ("version 1\nversion 1\nn 2\n", 2, "duplicate version"),
+            ("version 1\nn 2 3\n", 2, "n takes exactly one value"),
+            ("version 1\nn 2\nname 0\n", 3, "name takes a vertex and a label"),
+            ("version 1\nn 2\nquery 0 1 2\n", 3, "query takes"),
+            ("version 1\nn 2\nsubforest 0\n", 3, "subforest takes two endpoints"),
+            ("version 1\nn 2\nsubforest 0 5\n", 3, "vertex out of range in"),
         ],
     )
     def test_diagnostics_carry_line_numbers(self, text, line, needle):
@@ -106,6 +113,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="^line 3: cost must be at most"):
             parse_instance(text)
         parse_instance(f"version 1\nn 2\ntuple 0 1 0 1 {2**64 - 1}\n")
+
+    def test_vertex_count_is_capped(self):
+        parse_instance(f"version 1\nn {MAX_FILE_VERTICES}\n")
+        with pytest.raises(CapabilityError, match=f"^line 2: .* vertex cap {MAX_FILE_VERTICES}$"):
+            parse_instance(f"version 1\nn {MAX_FILE_VERTICES + 1}\n")
 
     def test_empty_and_headerless_files(self):
         with pytest.raises(ValueError, match="version"):
