@@ -32,6 +32,7 @@ from .core import (
 from .expanded import build_time_expanded, export_arcs
 from .instances import (
     InstanceFile,
+    check_vertex_cap,
     from_edge_labels,
     load_instance,
     random_instance,
@@ -73,7 +74,6 @@ def _run_colorcoding(instance, subforest, args):
         instance,
         getattr(args, "mode", None) or _colorcoding_mode(instance),
         seed=args.seed,
-        trials=args.trials,
         failure_prob=args.failure_prob,
     )
 
@@ -256,9 +256,11 @@ def _parse_edge_flag(text):
 
 def cmd_generate(args) -> int:
     if args.kind == "random":
+        n = 5 if args.n is None else args.n
+        check_vertex_cap(n)
         instance = random_instance(
             seed=args.seed,
-            n=5 if args.n is None else args.n,
+            n=n,
             horizon=args.horizon,
             density=args.density,
             max_cost=args.max_cost,
@@ -269,10 +271,7 @@ def cmd_generate(args) -> int:
         if not args.labels:
             raise ValueError("star-exp needs --labels, e.g. --labels '1,2;3,4'")
         labels = _parse_labels(args.labels)
-        if args.leaves is not None and args.leaves != len(labels):
-            raise ValueError(
-                f"--leaves {args.leaves} disagrees with {len(labels)} label groups"
-            )
+        check_vertex_cap(len(labels) + 1)
         instance = starexp_reduction(labels)
         file = InstanceFile(instance.graph, instance)
     else:
@@ -286,6 +285,7 @@ def cmd_generate(args) -> int:
             labels.setdefault(key, set()).update(times)
             top = max(top, u, v)
         n = args.n if args.n is not None else top + 1
+        check_vertex_cap(n)
         file = InstanceFile(from_edge_labels(n, labels))
     if args.output:
         save_instance(args.output, file)
@@ -371,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--format", default="human", choices=["human", "structured"])
     solve.add_argument("--mode", choices=["exhaustive", "randomized"])
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--trials", type=int)
     solve.add_argument("--failure-prob", type=float, default=DEFAULT_FAILURE_PROB)
     solve.set_defaults(func=cmd_solve)
 
@@ -393,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--max-cost", type=int, default=5)
     generate.add_argument("--shape", default="tree", choices=["tree", "general"])
     generate.add_argument("--labels", help="star-exp: per-leaf label sets, '1,2;3,4'")
-    generate.add_argument("--leaves", type=int)
     generate.add_argument(
         "--edge",
         action="append",
@@ -407,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("instances", nargs="*")
     bench.add_argument("--solvers", default="oracle,tree,vitw")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--trials", type=int)
     bench.add_argument("--failure-prob", type=float, default=DEFAULT_FAILURE_PROB)
     bench.set_defaults(func=cmd_bench)
 

@@ -10,10 +10,10 @@ walk through k distinct vertices is colourful under some colouring that
 separates those vertices, which is what makes the reduction exact.
 
 `all_pairs_min_walk` tabulates minimum walk costs between all vertex/time
-pairs. The paper's colour-order decomposition, a dynamic program over
-walks whose colours first appear in a prescribed order, is built on it and
-lives in tests/test_colorcoding.py as the reference the sweep is checked
-against.
+pairs, with one label sweep per (vertex, departure time). The paper's
+colour-order decomposition, a dynamic program over walks whose colours
+first appear in a prescribed order, is built on it and lives in
+tests/test_colorcoding.py as the reference the sweep is checked against.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph
 from .result import SolveResult, verify_result
-from .tree_solvers import _sweep_solve
+from .tree_solvers import _label_sweep, _sweep_solve
 
 MAX_EXHAUSTIVE_COLOURINGS = 1_000_000
 DEFAULT_FAILURE_PROB = 1e-3
@@ -58,12 +58,12 @@ class MinWalkTable:
             return []
         if (u, v, t1, t2) not in self.entries:
             raise ValueError(f"no finite walk for {(u, v, t1, t2)}")
+        parent = self._parents[u, t1]
         steps = []
-        node = (v, t2)
-        while node is not None:
-            prev, prev_t, step = self._parents[(u, node[0], t1, node[1])]
+        state = (v, t2)
+        while state != (u, t1):
+            state, step = parent[state]
             steps.append(step)
-            node = None if prev is None else (prev, prev_t)
         steps.reverse()
         return steps
 
@@ -71,53 +71,32 @@ class MinWalkTable:
 def all_pairs_min_walk(graph: TemporalCostGraph, restrict_to=None) -> MinWalkTable:
     """Minimum-cost walks between all vertex/time quadruples.
 
-    One sweep per (source, departure time): arrivals are settled in time
-    order, each stored tuple extends the best arrival at or before its
-    departure, and the first move must leave the source at exactly the
-    sweep's departure time. With a restriction, intermediate stops are
-    confined to the allowed set while the final move may land anywhere.
+    One label sweep over (vertex, arrival time) states per source u and
+    departure time t1 of a move leaving u: the start state (u, t1) takes
+    only moves departing exactly t1, and every label at a vertex other than
+    u is an entry. With a restriction, a state outside it (u is always
+    allowed) is labelled but never expanded, so intermediate stops are
+    confined while the final move may land anywhere. The work follows the
+    stored tuples, not the length of the time axis.
     """
-    n, horizon = graph.n, graph.lifetime
-    interior = frozenset(range(n)) if restrict_to is None else frozenset(restrict_to)
-    departs_at: dict[int, list] = {}
-    for u, v, depart, arrive, cost in graph.tuples():
-        departs_at.setdefault(depart, []).append((u, v, arrive, cost))
+    interior = frozenset(range(graph.n) if restrict_to is None else restrict_to)
     entries: dict = {}
     parents: dict = {}
-
-    for u in range(n):
+    for u in range(graph.n):
         allowed = interior | {u}
-        for t1 in range(horizon):
-            # arrive[t][v] = best cost of a confined walk u -> v landing at t
-            arrive = [dict() for _ in range(horizon + 1)]
+        for t1 in sorted({move[0] for move in graph.moves_from(u)}):
+            start = (u, t1)
 
-            def settle(x, y, depart, land, cand, origin_t):
-                # x is None for a first move (the chain stops there); the
-                # recorded step still names the true from-vertex.
-                key = (u, y, t1, land)
-                step = (u if x is None else x, y, depart, land)
-                if y != u and cand < entries.get(key, INF):
-                    entries[key] = cand
-                    parents[key] = (x, origin_t, step)
-                if y in allowed and cand < arrive[land].get(y, INF):
-                    arrive[land][y] = cand
-                    if y == u:
-                        parents[key] = (x, origin_t, step)
+            def step(state, move):
+                if state[0] not in allowed or (state == start and move[0] != t1):
+                    return None
+                return (move[2], move[1])
 
-            for x, y, land, cost in departs_at.get(t1, ()):
-                if x == u:
-                    settle(None, y, t1, land, cost, None)
-            best: dict = {}
-            for d in range(t1 + 1, horizon + 1):
-                for v, cost in arrive[d].items():
-                    if cost < best.get(v, (INF, None))[0]:
-                        best[v] = (cost, d)
-                for x, y, land, cost in departs_at.get(d, ()):
-                    if x not in best:
-                        continue
-                    base, origin_t = best[x]
-                    settle(x, y, d, land, base + cost, origin_t)
-    return MinWalkTable(n, horizon, entries, parents)
+            labels, parents[start] = _label_sweep(graph, start, step)
+            for (y, land), cost in labels.items():
+                if y != u:
+                    entries[u, y, t1, land] = cost
+    return MinWalkTable(graph.n, graph.lifetime, entries, parents)
 
 
 def _palette(graph, source, sink, k):
@@ -198,7 +177,6 @@ def solve_color_coding(
     instance: CctoInstance,
     mode: str = "exhaustive",
     *,
-    trials=None,
     failure_prob: float = DEFAULT_FAILURE_PROB,
     seed=None,
 ) -> SolveResult:
@@ -223,6 +201,7 @@ def solve_color_coding(
 
     if palette <= 0:
         result = solve_colourful(graph, source, sink, k, {}, budget)
+        result.solver = "colorcoding"
         result.stats["mode"] = mode
         return result
     if palette > len(inner):
@@ -245,10 +224,7 @@ def solve_color_coding(
     elif mode == "randomized":
         if seed is None:
             raise ValueError("randomized mode needs a seed")
-        if trials is None:
-            trials = math.ceil(math.e**palette * -math.log(failure_prob))
-        if trials < 1:
-            raise ValueError("randomized mode needs at least one trial")
+        trials = math.ceil(math.e**palette * -math.log(failure_prob))
         colourings = (
             {v: rng.randint(1, palette) for v in inner}
             for rng in (random.Random(seed * 1_000_003 + i) for i in range(trials))

@@ -32,6 +32,13 @@ class InstanceFile:
     subforest: tuple = ()
 
 
+def check_vertex_cap(n: int, where: str = "") -> None:
+    """Refuse a file of more than MAX_FILE_VERTICES vertices; `where`
+    prefixes the message."""
+    if n > MAX_FILE_VERTICES:
+        raise CapabilityError(f"{where}{n} vertices exceed the vertex cap {MAX_FILE_VERTICES}")
+
+
 def _fail(lineno, message):
     raise ValueError(f"line {lineno}: {message}")
 
@@ -94,10 +101,7 @@ def parse_instance(text: str) -> InstanceFile:
             (n,) = _ints(lineno, fields[1:])
             if n < 1:
                 _fail(lineno, f"vertex count must be positive, got {n}")
-            if n > MAX_FILE_VERTICES:
-                raise CapabilityError(
-                    f"line {lineno}: {n} vertices exceed the vertex cap {MAX_FILE_VERTICES}"
-                )
+            check_vertex_cap(n, f"line {lineno}: ")
             continue
         if n is None:
             _fail(lineno, f"{kind} directive before n")

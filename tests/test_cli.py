@@ -208,6 +208,14 @@ class TestSolve:
         assert "cost 7\n" in out
         assert "solver oracle\n" in out
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
+    @pytest.mark.parametrize("query", [["--sink", "1", "--k", "2"], ["--k", "1"]])
+    def test_colorcoding_without_colours_names_itself(self, i1_path, capsys, mode, query):
+        # An open walk of k <= 2 or a closed walk of k = 1 needs no colours.
+        argv = ["solve", i1_path, "--algorithm", "colorcoding", "--mode", mode]
+        assert main(argv + query + ["--format", "structured"]) == 0
+        assert "solver colorcoding\n" in capsys.readouterr().out
+
     def test_every_forced_algorithm_agrees(self, i1_path, capsys):
         costs = {}
         for algorithm in ("oracle", "tree", "subforest", "vitw", "colorcoding"):
@@ -400,7 +408,7 @@ class TestAnalyze:
 
 class TestGenerate:
     def test_star_exp_golden(self, capsys):
-        assert main(["generate", "star-exp", "--leaves", "2", "--labels", "1,2;3,4"]) == 0
+        assert main(["generate", "star-exp", "--labels", "1,2;3,4"]) == 0
         assert capsys.readouterr().out == (
             "version 1\n"
             "n 3\n"
@@ -415,9 +423,40 @@ class TestGenerate:
             "query 0 0 3 4\n"
         )
 
-    def test_leaves_mismatch(self, capsys):
-        assert main(["generate", "star-exp", "--leaves", "3", "--labels", "1;2"]) == 2
-        assert "disagrees" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (["random", "--n", str(MAX_FILE_VERTICES + 1)], MAX_FILE_VERTICES + 1),
+            (["from-temporal", "--edge", "0 200000 @ 1"], 200001),
+            (["star-exp", "--labels", ";".join(["1"] * MAX_FILE_VERTICES)], MAX_FILE_VERTICES + 1),
+        ],
+        ids=["random", "from-temporal", "star-exp"],
+    )
+    def test_vertex_count_above_the_file_cap_is_refused(self, tmp_path, capsys, argv, n):
+        # `solve` would refuse the file, so nothing is generated or written.
+        target = tmp_path / "big.ccto"
+        started = time.perf_counter()
+        assert main(["generate", *argv, "--output", str(target)]) == 2
+        assert time.perf_counter() - started < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: {n} vertices exceed the vertex cap {MAX_FILE_VERTICES}" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "x.ccto", "--trials", "1"],
+            ["bench", "x.ccto", "--trials", "1"],
+            ["generate", "star-exp", "--leaves", "2", "--labels", "1;2"],
+        ],
+    )
+    def test_derived_counts_are_not_options(self, capsys, argv):
+        # The trial count follows --failure-prob and the leaf count --labels.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_from_temporal_edge(self, capsys):
         assert main(["generate", "from-temporal", "--edge", "0 1 @ 3"]) == 0
@@ -433,7 +472,7 @@ class TestGenerate:
         [
             (["from-temporal", "--edge", "0 @ 3"], "expected 'u v @ t1,t2,...'"),
             (["from-temporal", "--edge", "0 1 @"], "no departure times"),
-            (["star-exp", "--leaves", "2"], "star-exp needs --labels"),
+            (["star-exp"], "star-exp needs --labels"),
         ],
     )
     def test_bad_arguments_are_usage_errors(self, capsys, argv, message):
@@ -517,15 +556,14 @@ class TestBench:
         assert "oracle=0" in err
 
     def test_randomized_upper_bound_is_no_disagreement(self, tmp_path, capsys):
-        # One randomized trial finds a tour of cost 10 where the optimum
-        # is 7: a valid upper bound, not a conflict.
+        # The first feasible randomized trial finds a tour of cost 10 where
+        # the optimum is 7: a valid upper bound, not a conflict.
         inst = random_instance(seed=0, n=14, horizon=16, density=0.15, shape="general")
         path = tmp_path / "bound.ccto"
         query = CctoInstance(inst.graph, 0, 0, 6, 200)
         save_instance(path, InstanceFile(inst.graph, query))
         code = main(
-            ["bench", str(path), "--solvers", "oracle,colorcoding",
-             "--trials", "1", "--seed", "3"]
+            ["bench", str(path), "--solvers", "oracle,colorcoding", "--seed", "3"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -765,7 +803,7 @@ def test_every_registry_solver_agrees_on_tiny_instances(seed, n, horizon, extra,
         modes = ("exhaustive", "randomized") if name == "colorcoding" else (None,)
         for mode in modes:
             args = argparse.Namespace(
-                mode=mode, seed=seed, trials=None, failure_prob=DEFAULT_FAILURE_PROB
+                mode=mode, seed=seed, failure_prob=DEFAULT_FAILURE_PROB
             )
             result = solver.run(instance, subforest, args)
             verify_result(instance, result)
@@ -800,7 +838,7 @@ def _twins(instance):
 def test_applicable_exactly_when_run_does_not_refuse(seed, n, horizon, extra, tree):
     base, subforest = _tiny_instance(seed, n, horizon, extra, tree)
     args = argparse.Namespace(
-        mode=None, seed=seed, trials=None, failure_prob=DEFAULT_FAILURE_PROB
+        mode=None, seed=seed, failure_prob=DEFAULT_FAILURE_PROB
     )
     for instance in _twins(base):
         for name, solver in SOLVERS.items():

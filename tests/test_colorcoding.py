@@ -6,9 +6,11 @@ here as the reference that the colour-subset sweep is checked against.
 
 import itertools
 import math
+import time
 
 import pytest
 
+from ccto import colorcoding
 from ccto.core import INF, CapabilityError, CctoInstance, TemporalCostGraph
 from ccto.colorcoding import (
     MAX_EXHAUSTIVE_COLOURINGS,
@@ -71,6 +73,42 @@ class TestMinWalkTable:
         table = all_pairs_min_walk(i2, restrict_to={0})
         assert table.cost(0, 2, 1, 3) == INF
         assert table.cost(0, 1, 1, 2) == 2
+
+    def test_one_sweep_per_departure(self, i1, monkeypatch):
+        starts = []
+        sweep = colorcoding._label_sweep
+
+        def counting(graph, start, step):
+            starts.append(start)
+            return sweep(graph, start, step)
+
+        monkeypatch.setattr(colorcoding, "_label_sweep", counting)
+        graphs = [i1] + [
+            inst.graph for inst in instances_for_suite(seed=1414, count=20)
+        ]
+        for graph in graphs:
+            starts.clear()
+            all_pairs_min_walk(graph)
+            departures = {(u, depart) for u, _, depart, _, _ in graph.tuples()}
+            assert sorted(starts) == sorted(departures)
+
+    def test_long_time_axis_scales_with_the_tuples(self):
+        # Times x1000: a loop over the time axis would take seconds.
+        scaled = make_graph(
+            3, [(u, v, d * 1000, a * 1000, c) for u, v, d, a, c in I1_TUPLES]
+        )
+        started = time.perf_counter()
+        big = all_pairs_min_walk(scaled)
+        small = all_pairs_min_walk(make_graph(3, I1_TUPLES))
+        assert big.entries == {
+            (u, v, t1 * 1000, t2 * 1000): cost
+            for (u, v, t1, t2), cost in small.entries.items()
+        }
+        for u, v, t1, t2 in small.entries:
+            assert big.walk(u, v, t1 * 1000, t2 * 1000) == [
+                (x, y, d * 1000, a * 1000) for x, y, d, a in small.walk(u, v, t1, t2)
+            ]
+        assert time.perf_counter() - started < 1
 
     def test_growing_restriction_never_hurts(self):
         for inst in instances_for_suite(seed=402, count=12, n_range=(3, 5)):
@@ -384,6 +422,14 @@ class TestSolveColorCoding:
         open_ = solve_color_coding(CctoInstance(i1, 0, 1, 1, 2), "exhaustive")
         assert open_.feasible and open_.optimal_cost == 2
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
+    def test_no_colour_answers_are_named_colorcoding(self, i1, mode):
+        for query in [(0, 0, 1, 0), (0, 1, 1, 2), (0, 1, 2, 2)]:
+            result = solve_color_coding(CctoInstance(i1, *query), mode, seed=1)
+            assert result.feasible
+            assert result.solver == "colorcoding"
+            assert result.stats["mode"] == mode
+
     def test_more_colours_than_inner_vertices(self, i1):
         result = solve_color_coding(CctoInstance(i1, 0, 0, 5, 99), "exhaustive")
         assert not result.feasible
@@ -435,10 +481,6 @@ class TestSolveColorCoding:
     def test_randomized_needs_a_seed(self, i1):
         with pytest.raises(ValueError):
             solve_color_coding(CctoInstance(i1, 0, 0, 3, 8), "randomized")
-        with pytest.raises(ValueError):
-            solve_color_coding(
-                CctoInstance(i1, 0, 0, 3, 8), "randomized", seed=1, trials=0
-            )
 
     @pytest.mark.parametrize("prob", [0, 1, 1.5, -0.5, math.nan, math.inf])
     def test_failure_prob_must_lie_strictly_between_0_and_1(self, i1, prob):
