@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph
+from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph, walk_back
 from .result import SolveResult, verify_result
 from .tree_solvers import _label_sweep, _sweep_solve
 
@@ -58,14 +58,7 @@ class MinWalkTable:
             return []
         if (u, v, t1, t2) not in self.entries:
             raise ValueError(f"no finite walk for {(u, v, t1, t2)}")
-        parent = self._parents[u, t1]
-        steps = []
-        state = (v, t2)
-        while state != (u, t1):
-            state, step = parent[state]
-            steps.append(step)
-        steps.reverse()
-        return steps
+        return walk_back(self._parents[u, t1], (v, t2), (u, t1))
 
 
 def all_pairs_min_walk(graph: TemporalCostGraph, restrict_to=None) -> MinWalkTable:
@@ -196,8 +189,12 @@ def solve_color_coding(
     graph, source, sink = instance.graph, instance.source, instance.sink
     k, budget = instance.k, instance.budget
     inner, palette = _palette(graph, source, sink, k)
+    if mode not in ("exhaustive", "randomized"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "randomized" and not 0 < failure_prob < 1:
         raise ValueError(f"failure probability {failure_prob} is not in (0, 1)")
+    if mode == "randomized" and seed is None:
+        raise ValueError("randomized mode needs a seed")
 
     if palette <= 0:
         result = solve_colourful(graph, source, sink, k, {}, budget)
@@ -221,16 +218,12 @@ def solve_color_coding(
         colourings = (
             dict(zip(inner, assign)) for assign in _partitions(len(inner), palette)
         )
-    elif mode == "randomized":
-        if seed is None:
-            raise ValueError("randomized mode needs a seed")
+    else:
         trials = math.ceil(math.e**palette * -math.log(failure_prob))
         colourings = (
             {v: rng.randint(1, palette) for v in inner}
             for rng in (random.Random(seed * 1_000_003 + i) for i in range(trials))
         )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     best = None
     used = states = 0
     for colouring in colourings:

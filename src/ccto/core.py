@@ -94,11 +94,12 @@ class TemporalCostGraph:
         n: number of vertices (ids 0..n-1).
         tuples: iterable of (from, to, depart, arrive, cost) with
             from != to, 0 <= depart < arrive, and 1 <= cost <= COST_MAX.
-        names: optional mapping from vertex id to display name.
+        names: optional mapping from vertex id to display name; an instance
+            file splits a name on whitespace and cuts it at '#'.
 
     Raises:
         ValueError: on malformed or duplicate tuples, with the reason from
-            `tuple_problem`.
+            `tuple_problem`, and on a name that a file cannot carry.
     """
 
     __slots__ = ("n", "names", "_cost", "_by_source", "_edges", "lifetime", "_index")
@@ -108,8 +109,11 @@ class TemporalCostGraph:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         self.n = n
         self.names = dict(names) if names else {}
-        for vid in self.names:
+        for vid, name in self.names.items():
             self._check_vertex(vid)
+            if not (isinstance(name, str) and name and "#" not in name
+                    and name == " ".join(name.split())):
+                raise ValueError(f"vertex {vid} name {name!r} cannot be written to a file")
         cost_map: dict[tuple[int, int, int, int], int] = {}
         by_source: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
         edges = set()
@@ -296,6 +300,18 @@ def walk_cost(graph: TemporalCostGraph, walk: list):
     if not report.ok:
         raise ValueError(f"invalid walk at step {report.step_index}: {report.reason}")
     return sum(graph.cost(*step) for step in walk)
+
+
+def walk_back(parent: dict, state, start) -> list:
+    """Steps from `start` to `state` in walk order, following entries
+    `parent[s] = (previous state, step)`; a None step (a wait) adds none."""
+    steps = []
+    while state != start:
+        state, step = parent[state]
+        if step is not None:
+            steps.append(step)
+    steps.reverse()
+    return steps
 
 
 def distinct_vertices(walk: list, anchor: int) -> int:

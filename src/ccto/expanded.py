@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import INF, TemporalCostGraph
+from .core import INF, TemporalCostGraph, walk_back
 
 
 @dataclass
@@ -72,18 +72,10 @@ def dag_min_cost_path(expanded: ExpandedGraph, source, target):
             candidate = here + weight
             if candidate < dist.get((v, arrive), INF):
                 dist[(v, arrive)] = candidate
-                pred[(v, arrive)] = (u, t)
+                pred[(v, arrive)] = ((u, t), (u, v, t, arrive) if u != v else None)
     if target not in dist:
         return INF, None
-    steps = []
-    node = target
-    while node != source:
-        prev = pred[node]
-        if prev[0] != node[0]:
-            steps.append((prev[0], node[0], prev[1], node[1]))
-        node = prev
-    steps.reverse()
-    return dist[target], steps
+    return dist[target], walk_back(pred, target, source)
 
 
 def export_arcs(expanded: ExpandedGraph):

@@ -7,7 +7,7 @@ queries. Both refuse inputs large enough to make exhaustion dubious.
 
 from __future__ import annotations
 
-from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph
+from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph, walk_back
 from .result import SolveResult
 
 MAX_ORACLE_VERTICES = 14
@@ -62,19 +62,10 @@ def solve_exact(instance: CctoInstance) -> SolveResult:
     accepted = [s for s in labels if s[0] == instance.sink and s[2] == DONE]
     best_state = min(accepted, key=lambda s: (labels[s], s), default=None)
     best = INF if best_state is None else labels[best_state]
-    witness = None
-    if best_state is not None:
-        steps = []
-        node = best_state
-        while node != start:
-            node, step = parent[node]
-            steps.append(step)
-        steps.reverse()
-        witness = steps
     return SolveResult(
         feasible=best <= instance.budget,
         optimal_cost=best,
-        witness=witness,
+        witness=None if best_state is None else walk_back(parent, best_state, start),
         solver="oracle",
         stats={"states": len(labels)},
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from .core import INF, CctoInstance, NotApplicableError, TemporalCostGraph, _holds
+from .core import INF, CctoInstance, NotApplicableError, TemporalCostGraph, _holds, walk_back
 from .result import SolveResult
 
 MAX_SUBFOREST_PATHS = 4
@@ -79,17 +79,10 @@ def _sweep_solve(graph, start, step, accept, budget, solver, **stats):
     for candidate in sorted(labels):
         if labels[candidate] < best and accept(candidate):
             best, state = labels[candidate], candidate
-    witness = None
-    if state is not None:
-        witness = []
-        while state != start:
-            state, move = parent[state]
-            witness.append(move)
-        witness.reverse()
     return SolveResult(
         feasible=best <= budget,
         optimal_cost=best,
-        witness=witness,
+        witness=None if state is None else walk_back(parent, state, start),
         solver=solver,
         stats={"states": len(labels), **stats},
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph
+from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph, walk_back
 from .result import SolveResult
 
 MAX_BAG_WIDTH = 12
@@ -153,7 +153,7 @@ def solve_vitw(instance: CctoInstance) -> SolveResult:
 
     start_key = (source, 0, 1 << source)
     current = {start_key: 0}
-    parents = {(0, start_key): None}
+    parents: dict = {}
     staged: dict[int, list] = {}
     best, best_at = INF, None
     max_live = 0
@@ -209,15 +209,10 @@ def solve_vitw(instance: CctoInstance) -> SolveResult:
 
     witness = None
     if best_at is not None:
-        steps = []
-        node = best_at
-        while parents[node] is not None:
-            (node, step) = parents[node][0], parents[node][1]
-            if step is not None:
-                u, w, depart, arrive = step
-                steps.append((u, w, depart - shift, arrive - shift))
-        steps.reverse()
-        witness = steps
+        witness = [
+            (u, w, depart - shift, arrive - shift)
+            for u, w, depart, arrive in walk_back(parents, best_at, (0, start_key))
+        ]
     # Keys are (vertex in bag, forgotten count 0..k, subset of bag); fuel
     # is the value, not part of the key, so the budget does not enter.
     bound = width_eff * (k + 1) * 2**width_eff

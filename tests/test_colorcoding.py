@@ -481,6 +481,9 @@ class TestSolveColorCoding:
     def test_randomized_needs_a_seed(self, i1):
         with pytest.raises(ValueError):
             solve_color_coding(CctoInstance(i1, 0, 0, 3, 8), "randomized")
+        # Checked before the closed k = 1 query's no-colour answer too.
+        with pytest.raises(ValueError, match="needs a seed"):
+            solve_color_coding(CctoInstance(i1, 0, 0, 1, 8), "randomized")
 
     @pytest.mark.parametrize("prob", [0, 1, 1.5, -0.5, math.nan, math.inf])
     def test_failure_prob_must_lie_strictly_between_0_and_1(self, i1, prob):
@@ -500,6 +503,8 @@ class TestSolveColorCoding:
     def test_unknown_mode(self, i1):
         with pytest.raises(ValueError):
             solve_color_coding(CctoInstance(i1, 0, 0, 3, 8), "best-effort")
+        with pytest.raises(ValueError, match="unknown mode"):
+            solve_color_coding(CctoInstance(i1, 0, 0, 1, 8), "bogus")
 
     def test_randomized_yes_instances_all_found(self):
         # Mini version of the acceptance sweep: every feasible instance

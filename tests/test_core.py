@@ -13,6 +13,7 @@ from ccto.core import (
     distinct_vertices,
     tuple_problem,
     validate_walk,
+    walk_back,
     walk_cost,
 )
 from ccto.instances import from_edge_labels, random_instance
@@ -73,6 +74,11 @@ class TestConstruction:
     def test_rejects_duplicate_key(self):
         with pytest.raises(ValueError, match="duplicate"):
             make_graph(2, [(0, 1, 1, 2, 1), (0, 1, 1, 2, 3)])
+
+    @pytest.mark.parametrize("name", ["", "a#b", "a  b", " a", "a\nb", 5, None])
+    def test_rejects_names_a_file_cannot_carry(self, name):
+        with pytest.raises(ValueError, match="vertex 1 name"):
+            make_graph(2, [], names={1: name})
 
     def test_lifetime(self, i1):
         assert i1.lifetime == 6
@@ -282,6 +288,29 @@ class TestWalks:
     def test_distinct_counts_anchor_and_moves(self):
         assert distinct_vertices([(0, 0, 0, 5)], 0) == 1
         assert distinct_vertices(W1, 0) == 3
+
+    def test_walk_back_at_start_is_empty(self):
+        assert walk_back({}, (0, 1), (0, 1)) == []
+
+    def test_walk_back_skips_waits(self):
+        parent = {(0, 3): ((0, 1), None)}
+        assert walk_back(parent, (0, 3), (0, 1)) == []
+
+    def test_walk_back_returns_walk_order(self):
+        parent = {(1, 2): ((0, 1), (0, 1, 1, 2)), (2, 3): ((1, 2), (1, 2, 2, 3))}
+        assert walk_back(parent, (2, 3), (0, 1)) == [(0, 1, 1, 2), (1, 2, 2, 3)]
+
+    def test_walk_back_three_links_mixing_waits_and_moves(self, i1):
+        # (0,1) -move-> (1,2) -wait-> (1,5) -move-> (0,6): W1's first and last
+        # moves with the wait between them left implicit.
+        parent = {
+            (1, 2): ((0, 1), (0, 1, 1, 2)),
+            (1, 5): ((1, 2), None),
+            (0, 6): ((1, 5), (1, 0, 5, 6)),
+        }
+        walk = walk_back(parent, (0, 6), (0, 1))
+        assert walk == [(0, 1, 1, 2), (1, 0, 5, 6)]
+        assert walk_cost(i1, walk) == 3
 
     def test_concatenation_is_additive(self, i1):
         rng = random.Random(11)

@@ -200,6 +200,23 @@ class TestRandomInstances:
         assert serialize_instance(again) == text
         assert again.query.k == inst.k
 
+    @given(
+        st.dictionaries(
+            st.integers(0, 2),
+            st.one_of(st.text("ab #\t\n", max_size=5), st.text(max_size=5), st.integers()),
+            max_size=3,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_names_round_trip_or_are_refused(self, names):
+        try:
+            graph = make_graph(3, I1_TUPLES, names)
+        except ValueError as exc:
+            assert "name" in str(exc)
+            return
+        again = parse_instance(serialize_instance(InstanceFile(graph)))
+        assert again.graph.names == names
+
 
 class TestStarReduction:
     def test_labels_become_unit_tuples_both_ways(self):
