@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph, walk_back
-from .result import SolveResult, verify_result
-from .tree_solvers import _label_sweep, _sweep_solve
+from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph, _label_sweep, walk_back
+from .result import SolveResult, _sweep_solve, verify_result
 
 MAX_EXHAUSTIVE_COLOURINGS = 1_000_000
 DEFAULT_FAILURE_PROB = 1e-3
@@ -42,8 +42,6 @@ class MinWalkTable:
     vertices (the two endpoints are always allowed for their own walks).
     """
 
-    n: int
-    horizon: int
     entries: dict
     _parents: dict = field(default_factory=dict, repr=False)
 
@@ -89,7 +87,7 @@ def all_pairs_min_walk(graph: TemporalCostGraph, restrict_to=None) -> MinWalkTab
             for (y, land), cost in labels.items():
                 if y != u:
                     entries[u, y, t1, land] = cost
-    return MinWalkTable(graph.n, graph.lifetime, entries, parents)
+    return MinWalkTable(entries, parents)
 
 
 def _palette(graph, source, sink, k):
@@ -149,21 +147,21 @@ def solve_colourful(graph, source, sink, k, colouring, budget) -> SolveResult:
 
 def _partitions(count, parts):
     """Assignments of `count` items to exactly `parts` unlabelled groups,
-    as tuples of group ids 1..parts in first-use order."""
-    assign = [0] * count
-
-    def rec(i, used):
-        if count - i < parts - used:
+    as tuples of group ids 1..parts in first-use order, in lexicographic
+    order; each one steps to the next, so no count of items can recurse."""
+    if parts > count or parts == 0 < count:
+        return
+    assign = [1] * (count - parts) + list(range(1, parts + 1))  # the smallest
+    while True:
+        yield tuple(assign)
+        high = list(accumulate(assign, max))
+        # Raise the last item that can take a higher group; refill the rest smallest first.
+        i = next((i for i in range(count - 1, 0, -1) if assign[i] < min(high[i - 1] + 1, parts)), 0)
+        if i == 0:
             return
-        if i == count:
-            yield tuple(assign)
-            return
-        top = min(used + 1, parts)
-        for c in range(1, top + 1):
-            assign[i] = c
-            yield from rec(i + 1, max(used, c))
-
-    yield from rec(0, 0)
+        assign[i] += 1
+        used = max(high[i - 1], assign[i])
+        assign[i + 1 :] = [1] * (count - i - 1 - parts + used) + list(range(used + 1, parts + 1))
 
 
 def solve_color_coding(

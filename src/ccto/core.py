@@ -13,6 +13,7 @@ threads; all query methods are pure.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -76,6 +77,7 @@ class _GraphIndex(NamedTuple):
     adjacency: list  # list[set[int]], indexed by vertex
     traversal: dict  # (min_id, max_id) -> max traversal number
     connected: bool
+    events: int  # time 0 plus each distinct stored arrival time
 
 
 class TemporalCostGraph:
@@ -196,7 +198,10 @@ class TemporalCostGraph:
         # first one arrives.
         traversal: dict[tuple[int, int], int] = {}
         frontier: dict[tuple[int, int], int] = {}
+        events, last = 1, 0  # time 0, then each distinct arrival (all >= 1)
         for u, v, depart, arrive in sorted(self._cost, key=itemgetter(3, 2)):
+            if arrive != last:
+                events, last = events + 1, arrive
             edge = (u, v) if u < v else (v, u)
             if depart >= frontier.get(edge, -1):
                 traversal[edge] = traversal.get(edge, 0) + 1
@@ -208,7 +213,7 @@ class TemporalCostGraph:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return _GraphIndex(adjacency, traversal, len(seen) == self.n)
+        return _GraphIndex(adjacency, traversal, len(seen) == self.n, events)
 
     def neighbors(self, u: int) -> set:
         self._check_vertex(u)
@@ -300,6 +305,44 @@ def walk_cost(graph: TemporalCostGraph, walk: list):
     if not report.ok:
         raise ValueError(f"invalid walk at step {report.step_index}: {report.reason}")
     return sum(graph.cost(*step) for step in walk)
+
+
+def _label_sweep(graph, start, step):
+    """Settle min-cost labels over time-layered states.
+
+    States are tuples starting (vertex, arrival_time, ...); `step` maps a
+    settled state and a stored move (depart, arrive, to, cost) to the next
+    state, or None to drop the transition. Every move strictly increases
+    time, so settling arrival times in ascending order settles everything;
+    a heap holds the arrival times that occur, so the sweep never visits an
+    empty time. Sorted iteration and strict improvement keep backpointers
+    deterministic.
+    """
+    labels = {start: 0}
+    parent = {}
+    by_time = {start[1]: {start}}
+    pending = [start[1]]
+    while pending:
+        t = heapq.heappop(pending)
+        for state in sorted(by_time.pop(t)):
+            base = labels[state]
+            v = state[0]
+            for move in graph.moves_from(v):
+                if move[0] < t:
+                    continue
+                nxt = step(state, move)
+                if nxt is None:
+                    continue
+                candidate = base + move[3]
+                if candidate < labels.get(nxt, INF):
+                    labels[nxt] = candidate
+                    parent[nxt] = (state, (v, move[2], move[0], move[1]))
+                    bucket = by_time.get(move[1])
+                    if bucket is None:
+                        bucket = by_time[move[1]] = set()
+                        heapq.heappush(pending, move[1])
+                    bucket.add(nxt)
+    return labels, parent
 
 
 def walk_back(parent: dict, state, start) -> list:

@@ -21,6 +21,9 @@ FORMAT_VERSION = 1
 # The graph keeps per-vertex structures, so a file's n alone could exhaust
 # memory; perfbench's largest instances have 600 vertices.
 MAX_FILE_VERTICES = 10**5
+# `random_instance` flips a coin per (ordered pair, departure time) slot and
+# any slot can become a stored tuple, so it refuses more slots than this.
+MAX_RANDOM_SLOTS = 10**6
 
 
 @dataclass
@@ -202,21 +205,29 @@ def random_instance(
     independent coin flip per departure time with probability `density`;
     travel takes one or two time units and costs 1..max_cost. The query picks
     a random source, a closed walk half of the time, a uniform k, and a
-    budget scaled to max_cost * n.
+    budget scaled to max_cost * n. More than MAX_RANDOM_SLOTS ordered pairs
+    x horizon raise CapabilityError before anything is drawn.
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got {n}")
     if horizon < 1:
         raise ValueError(f"need a positive horizon, got {horizon}")
+    if max_cost < 1:
+        raise ValueError(f"max_cost must be at least 1, got {max_cost}")
+    pairs = {"tree": 2 * (n - 1), "general": n * (n - 1)}.get(shape)
+    if pairs is None:
+        raise ValueError(f"unknown shape {shape!r}")
+    if pairs * horizon > MAX_RANDOM_SLOTS:
+        raise CapabilityError(
+            f"{pairs} ordered pairs x horizon {horizon} exceed the slot cap {MAX_RANDOM_SLOTS}"
+        )
     rng = random.Random(seed)
     if shape == "tree":
         undirected = [(rng.randrange(v), v) for v in range(1, n)]
         directed = [(u, v) for u, v in undirected]
         directed += [(v, u) for u, v in undirected]
-    elif shape == "general":
-        directed = [(u, v) for u in range(n) for v in range(n) if u != v]
     else:
-        raise ValueError(f"unknown shape {shape!r}")
+        directed = [(u, v) for u in range(n) for v in range(n) if u != v]
     tuples = []
     for u, v in sorted(directed):
         for depart in range(horizon):

@@ -1,11 +1,11 @@
-"""Shared result type for all solvers."""
+"""Shared result type for all solvers, and the label sweep solvers' report."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import INF, CctoInstance, distinct_vertices, validate_walk
+from .core import INF, CctoInstance, _label_sweep, distinct_vertices, validate_walk, walk_back
 
 
 @dataclass
@@ -24,6 +24,24 @@ class SolveResult:
     witness: Optional[list] = None
     solver: str = ""
     stats: dict = field(default_factory=dict)
+
+
+def _sweep_solve(graph, start, step, accept, budget, solver, **stats):
+    """Sweep from `start` and report the cheapest state `accept` takes (the
+    smallest such state on ties) with its witness, and `states`, the number
+    of labels settled, ahead of `stats`."""
+    labels, parent = _label_sweep(graph, start, step)
+    best, state = INF, None
+    for candidate in sorted(labels):
+        if labels[candidate] < best and accept(candidate):
+            best, state = labels[candidate], candidate
+    return SolveResult(
+        feasible=best <= budget,
+        optimal_cost=best,
+        witness=None if state is None else walk_back(parent, state, start),
+        solver=solver,
+        stats={"states": len(labels), **stats},
+    )
 
 
 def budget_precheck(instance: CctoInstance):

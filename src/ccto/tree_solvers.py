@@ -23,69 +23,13 @@ NotApplicableError when their structural precondition fails.
 
 from __future__ import annotations
 
-import heapq
+import math
 from collections import deque
 
-from .core import INF, CctoInstance, NotApplicableError, TemporalCostGraph, _holds, walk_back
-from .result import SolveResult
+from .core import CctoInstance, NotApplicableError, TemporalCostGraph, _holds
+from .result import SolveResult, _sweep_solve
 
 MAX_SUBFOREST_PATHS = 4
-
-
-def _label_sweep(graph, start, step):
-    """Settle min-cost labels over time-layered states.
-
-    States are tuples starting (vertex, arrival_time, ...); `step` maps a
-    settled state and a stored move (depart, arrive, to, cost) to the next
-    state, or None to drop the transition. Every move strictly increases
-    time, so settling arrival times in ascending order settles everything;
-    a heap holds the arrival times that occur, so the sweep never visits an
-    empty time. Sorted iteration and strict improvement keep backpointers
-    deterministic.
-    """
-    labels = {start: 0}
-    parent = {}
-    by_time = {start[1]: {start}}
-    pending = [start[1]]
-    while pending:
-        t = heapq.heappop(pending)
-        for state in sorted(by_time.pop(t)):
-            base = labels[state]
-            v = state[0]
-            for move in graph.moves_from(v):
-                if move[0] < t:
-                    continue
-                nxt = step(state, move)
-                if nxt is None:
-                    continue
-                candidate = base + move[3]
-                if candidate < labels.get(nxt, INF):
-                    labels[nxt] = candidate
-                    parent[nxt] = (state, (v, move[2], move[0], move[1]))
-                    bucket = by_time.get(move[1])
-                    if bucket is None:
-                        bucket = by_time[move[1]] = set()
-                        heapq.heappush(pending, move[1])
-                    bucket.add(nxt)
-    return labels, parent
-
-
-def _sweep_solve(graph, start, step, accept, budget, solver, **stats):
-    """Sweep from `start` and report the cheapest state `accept` takes (the
-    smallest such state on ties) with its witness, and `states`, the number
-    of labels settled, ahead of `stats`."""
-    labels, parent = _label_sweep(graph, start, step)
-    best, state = INF, None
-    for candidate in sorted(labels):
-        if labels[candidate] < best and accept(candidate):
-            best, state = labels[candidate], candidate
-    return SolveResult(
-        feasible=best <= budget,
-        optimal_cost=best,
-        witness=None if state is None else walk_back(parent, state, start),
-        solver=solver,
-        stats={"states": len(labels), **stats},
-    )
 
 
 def _tree_parents(graph: TemporalCostGraph, root: int) -> dict:
@@ -158,7 +102,7 @@ def solve_tree_closed(instance: CctoInstance) -> SolveResult:
         lambda s: s[0] == instance.source and s[2] == k,
         instance.budget,
         "tree_closed",
-        state_space=graph.n * (graph.lifetime + 1) * (k + 1),
+        state_space=graph.n * graph._graph_index().events * (k + 1),
     )
 
 
@@ -281,9 +225,6 @@ def solve_subforest(
             return None
         return (w, arrive, q2, marks)
 
-    mark_space = 1
-    for path in paths:
-        mark_space *= len(path)
     return _sweep_solve(
         graph,
         start,
@@ -292,7 +233,7 @@ def solve_subforest(
         instance.budget,
         "subforest",
         paths=len(paths),
-        state_space=graph.n * (graph.lifetime + 1) * (k + 1) * mark_space,
+        state_space=graph.n * graph._graph_index().events * (k + 1) * math.prod(map(len, paths)),
     )
 
 
@@ -350,5 +291,5 @@ def solve_sparse_triples(instance: CctoInstance) -> SolveResult:
         lambda s: s[0] == sink and s[2] == k,
         instance.budget,
         "sparse_triples",
-        state_space=graph.n * (graph.lifetime + 1) * (k + 1),
+        state_space=graph.n * graph._graph_index().events * (k + 1) * 2,  # 2: the seen flag
     )

@@ -91,6 +91,22 @@ class TestSolve:
             "stat states 6\n"
         )
 
+    def test_one_colour_star_has_one_colouring(self, tmp_path, capsys):
+        # A closed walk with k 2 has one inner colour, so the 1,499 leaves
+        # split into a single group: far more items than recursion levels.
+        n = 1500
+        tuples = []
+        for j in range(1, n):
+            tuples += [(0, j, 2 * j, 2 * j + 1, 1), (j, 0, 2 * j + 1, 2 * j + 2, 1)]
+        path = tmp_path / "star.ccto"
+        save_instance(path, InstanceFile(make_graph(n, tuples), None))
+        argv = ["solve", str(path), "--algorithm", "colorcoding", "--format", "structured"]
+        argv += ["--source", "0", "--sink", "0", "--k", "2", "--budget", "5"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "cost 2\n" in out
+        assert "stat colourings 1\n" in out
+
     def test_forced_inapplicable_algorithm(self, i1_path, capsys):
         code = main(["solve", i1_path, "--algorithm", "sparse"])
         assert code == 2
@@ -473,6 +489,8 @@ class TestGenerate:
             (["from-temporal", "--edge", "0 @ 3"], "expected 'u v @ t1,t2,...'"),
             (["from-temporal", "--edge", "0 1 @"], "no departure times"),
             (["star-exp"], "star-exp needs --labels"),
+            (["random", "--max-cost", "0"], "max_cost must be at least 1"),
+            (["random", "--n", "20000", "--shape", "general"], "exceed the slot cap"),
         ],
     )
     def test_bad_arguments_are_usage_errors(self, capsys, argv, message):
@@ -854,3 +872,44 @@ def test_applicable_exactly_when_run_does_not_refuse(seed, n, horizon, extra, tr
                 assert not applicable, name
             else:
                 assert applicable, name
+
+
+@given(
+    st.integers(0, 2**32), st.integers(2, 5), st.integers(1, 6),
+    st.integers(0, 8), st.booleans(),
+    st.integers(0, 1000), st.lists(st.integers(1, 1000), min_size=6, max_size=6),
+)
+@settings(derandomize=True, deadline=None)
+def test_every_registry_solver_ignores_a_time_relabelling(
+    seed, n, horizon, extra, tree, offset, gaps
+):
+    # Solvers compare times only by order, so a strictly increasing map of
+    # the time axis changes nothing but the times in the witness. The map
+    # stays below 7,001, inside vitw's horizon cap.
+    base, subforest = _tiny_instance(seed, n, horizon, extra, tree)
+    times = [offset + sum(gaps[:t]) for t in range(horizon + 1)]
+    graph = make_graph(n, [(u, v, times[d], times[a], c) for u, v, d, a, c in base.graph.tuples()])
+    twin = CctoInstance(graph, base.source, base.sink, base.k, base.budget)
+    # vitw steps through every time unit of its shifted window, so these stay
+    # in time units until it runs on the shared label sweep (ROADMAP item 2).
+    raw_time_stats = {"vitw": {"shift", "effective_lifetime", "states"}}
+    for name, solver in SOLVERS.items():
+        applicable = solver.applicable(base, subforest)
+        assert solver.applicable(twin, subforest) == applicable, name
+        if not applicable:
+            continue
+        modes = ("exhaustive", "randomized") if name == "colorcoding" else (None,)
+        for mode in modes:
+            args = argparse.Namespace(mode=mode, seed=seed, failure_prob=DEFAULT_FAILURE_PROB)
+            expected, got = solver.run(base, subforest, args), solver.run(twin, subforest, args)
+            assert (got.feasible, got.optimal_cost) == (expected.feasible, expected.optimal_cost)
+            relabelled = expected.witness and [
+                (u, v, times[d], times[a]) for u, v, d, a in expected.witness
+            ]
+            assert got.witness == relabelled, name
+            exempt = raw_time_stats.get(name, set())
+            assert got.stats.keys() == expected.stats.keys(), name
+            for key in got.stats.keys() - exempt:
+                assert got.stats[key] == expected.stats[key], (name, key)
+            if "state_space" in got.stats:
+                assert got.stats["states"] <= got.stats["state_space"], name

@@ -401,6 +401,29 @@ class TestSolveColourful:
                 )
 
 
+def stirling2(count, parts):
+    """Partitions of `count` items into exactly `parts` non-empty groups."""
+    terms = (
+        (-1) ** j * math.comb(parts, j) * (parts - j) ** count for j in range(parts + 1)
+    )
+    return sum(terms) // math.factorial(parts)
+
+
+@pytest.mark.parametrize("count", range(8))
+def test_partitions_are_the_stirling_number_in_order(count):
+    for parts in range(count + 2):
+        # Group ids in first-use order: each item opens at most the next group.
+        expected = [
+            assign
+            for assign in itertools.product(range(1, parts + 1), repeat=count)
+            if set(assign) == set(range(1, parts + 1))
+            and all(assign[i] <= max(assign[:i], default=0) + 1 for i in range(count))
+        ]
+        got = list(colorcoding._partitions(count, parts))
+        assert got == expected
+        assert len(got) == stirling2(count, parts)
+
+
 class TestSolveColorCoding:
     def test_chain_exhaustive(self, i2):
         instance = CctoInstance(i2, 0, 2, 3, 6)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ccto.core import CapabilityError, CctoInstance
 from ccto.instances import (
     MAX_FILE_VERTICES,
+    MAX_RANDOM_SLOTS,
     InstanceFile,
     from_edge_labels,
     parse_instance,
@@ -190,6 +191,18 @@ class TestRandomInstances:
             random_instance(seed=0, n=3, horizon=0, density=0.2)
         with pytest.raises(ValueError):
             random_instance(seed=0, n=3, horizon=3, density=0.2, shape="ring")
+        with pytest.raises(ValueError, match="max_cost"):
+            random_instance(seed=0, n=3, horizon=3, density=0.2, max_cost=0)
+
+    def test_slot_cap_refuses_before_drawing(self):
+        # Ordered pairs x horizon: 2 (n - 1) on a tree, n (n - 1) in general.
+        random_instance(seed=0, n=2, horizon=MAX_RANDOM_SLOTS // 2, density=0.0)
+        with pytest.raises(CapabilityError, match="slot cap"):
+            random_instance(seed=0, n=2, horizon=MAX_RANDOM_SLOTS // 2 + 1, density=0.0)
+        with pytest.raises(CapabilityError, match="slot cap"):
+            random_instance(seed=0, n=50, horizon=10**8, density=0.0)
+        with pytest.raises(CapabilityError, match="slot cap"):
+            random_instance(seed=0, n=20_000, horizon=6, density=0.25, shape="general")
 
     @given(st.integers(0, 10**6), st.integers(2, 6), st.integers(2, 8))
     @settings(max_examples=40, deadline=None)

@@ -5,9 +5,9 @@ from collections import deque
 
 import pytest
 
-from ccto import colorcoding, tree_solvers
+from ccto import colorcoding
 from ccto.colorcoding import solve_color_coding
-from ccto.core import INF, CctoInstance, NotApplicableError
+from ccto.core import INF, CctoInstance, NotApplicableError, _label_sweep
 from ccto.instances import from_edge_labels
 from ccto.oracle import solve_exact
 from ccto.result import verify_result
@@ -86,7 +86,8 @@ class TestTreeClosed:
 
     def test_state_space_closed_form(self, i1):
         result = solve_tree_closed(CctoInstance(i1, 0, 0, 3, 8))
-        assert result.stats["state_space"] == 3 * 7 * 4
+        # 3 vertices x 5 event times (0 and arrivals 2, 3, 5, 6) x counts 0..3.
+        assert result.stats["state_space"] == 3 * 5 * 4
         assert result.stats["states"] <= result.stats["state_space"]
 
     def test_matches_oracle_on_applicable_random_instances(self):
@@ -452,14 +453,14 @@ def dense_label_sweep(graph, start, step):
 class TestEventSweep:
     def test_matches_dense_sweep_for_every_solver(self, monkeypatch):
         sweeps = []
-        event_sweep = tree_solvers._label_sweep
+        event_sweep = _label_sweep
 
         def both(graph, start, step):
             got = event_sweep(graph, start, step)
             sweeps.append((got, dense_label_sweep(graph, start, step)))
             return got
 
-        monkeypatch.setattr(tree_solvers, "_label_sweep", both)
+        monkeypatch.setattr("ccto.result._label_sweep", both)
         rng = random.Random(4411)
         solved = set()
         for inst in random_tree_instances(93, 40, n_range=(3, 7), horizon_range=(4, 12)):
@@ -486,17 +487,18 @@ class TestEventSweep:
             assert parent == dense_parent
 
     def test_colour_sweeps_run_on_the_shared_sweep(self, monkeypatch):
-        # Colour coding calls the tree solvers' sweep, so patching it there
-        # puts every colouring's sweep under the dense comparison above.
+        # Colour coding reports through the same `_sweep_solve` as the tree
+        # solvers, so patching the sweep where it looks it up puts every
+        # colouring's sweep under the dense comparison above.
         sweeps = []
-        event_sweep = tree_solvers._label_sweep
+        event_sweep = _label_sweep
 
         def both(graph, start, step):
             got = event_sweep(graph, start, step)
             sweeps.append((got, dense_label_sweep(graph, start, step)))
             return got
 
-        monkeypatch.setattr(tree_solvers, "_label_sweep", both)
+        monkeypatch.setattr("ccto.result._label_sweep", both)
         tuples = []
         for v in range(1, 5):
             tuples += [(0, v, 2 * v - 1, 2 * v, 1), (v, 0, 2 * v, 2 * v + 1, 1)]
