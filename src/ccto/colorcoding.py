@@ -3,7 +3,11 @@
 The pipeline: a solver for the colourful variant (visit every colour) as
 one label sweep over (vertex, time, colours seen), and the full solver that
 tries colourings of the inner vertices — every colouring exhaustively, or
-seeded random draws with an explicit failure probability.
+seeded random draws with an explicit failure probability. The full solver
+first drops every stored move that lies on no source -> sink walk, once per
+call, so each colouring's sweep only settles states that can still reach
+the sink; randomized mode draws the fewest trials that the exact chance of
+a colourful walk allows.
 
 A walk that must show all k colours visits k distinct vertices, and any
 walk through k distinct vertices is colourful under some colouring that
@@ -23,7 +27,15 @@ import random
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph, _label_sweep, walk_back
+from .core import (
+    INF,
+    CapabilityError,
+    CctoInstance,
+    TemporalCostGraph,
+    _label_sweep,
+    walk_back,
+    walks_between,
+)
 from .result import SolveResult, _sweep_solve, verify_result
 
 MAX_EXHAUSTIVE_COLOURINGS = 1_000_000
@@ -145,6 +157,30 @@ def solve_colourful(graph, source, sink, k, colouring, budget) -> SolveResult:
     return result
 
 
+def _trial_count(palette, failure_prob):
+    """Random colourings after which a walk through `palette` distinct
+    inner vertices has drawn distinct colours in none of them with
+    probability at most failure_prob: ceil(ln(failure_prob) / ln(1 - P)),
+    where P = p!/p^p is the chance that p vertices draw p distinct colours.
+    P is formed in log space; with one colour every colouring is colourful,
+    so one trial is enough.
+
+    Raises:
+        CapabilityError: if the count is not a finite float, which happens
+            from a palette of about 710 on.
+    """
+    if palette == 1:
+        return 1
+    hit = math.exp(math.lgamma(palette + 1) - palette * math.log(palette))
+    trials = math.log(failure_prob) / math.log1p(-hit) if hit else INF
+    if not math.isfinite(trials):
+        raise CapabilityError(
+            f"{palette} inner colours need more random colourings than a float "
+            f"can count at failure probability {failure_prob}"
+        )
+    return math.ceil(trials)
+
+
 def _partitions(count, parts):
     """Assignments of `count` items to exactly `parts` unlabelled groups,
     as tuples of group ids 1..parts in first-use order, in lexicographic
@@ -178,11 +214,24 @@ def solve_color_coding(
     exactly as many groups as there are inner colours (colour names do not
     matter because only the set of colours seen is tracked) and is exact. Randomized mode
     draws independent uniform colourings: a witness with k distinct
-    vertices gets distinct colours with probability at least p!/p^p for p
-    inner colours, so ceil(e^p * ln(1/failure_prob)) trials push the miss
-    probability below failure_prob. A feasible answer always carries a
-    re-validated witness; "infeasible" from randomized mode means no
-    witness was found at that confidence.
+    vertices gets distinct colours with probability P = p!/p^p for p inner
+    colours, so ceil(ln(failure_prob) / ln(1 - P)) trials push the miss
+    probability below failure_prob, and it stops at the first trial within
+    budget. A feasible answer always carries a re-validated witness;
+    "infeasible" from randomized mode means no witness was found at that
+    confidence.
+
+    Every colouring is swept on `walks_between(graph, source, sink)`, built
+    once. Each move into a state that can reach an accepting state lies on
+    a source -> sink walk, so such states keep the labels and parents they
+    have on the whole graph: answers, witnesses and counts of colourings
+    and trials are those of the whole graph, and `states` counts only the
+    labels the smaller graph settles.
+
+    Raises:
+        CapabilityError: if exhaustive mode needs more than
+            MAX_EXHAUSTIVE_COLOURINGS colourings, or randomized mode more
+            trials than a float can count.
     """
     graph, source, sink = instance.graph, instance.source, instance.sink
     k, budget = instance.k, instance.budget
@@ -217,15 +266,16 @@ def solve_color_coding(
             dict(zip(inner, assign)) for assign in _partitions(len(inner), palette)
         )
     else:
-        trials = math.ceil(math.e**palette * -math.log(failure_prob))
+        trials = _trial_count(palette, failure_prob)
         colourings = (
             {v: rng.randint(1, palette) for v in inner}
             for rng in (random.Random(seed * 1_000_003 + i) for i in range(trials))
         )
+    pruned = walks_between(graph, source, sink)
     best = None
     used = states = 0
     for colouring in colourings:
-        result = solve_colourful(graph, source, sink, k, colouring, budget)
+        result = solve_colourful(pruned, source, sink, k, colouring, budget)
         states += result.stats["states"]
         used += 1
         if best is None or result.optimal_cost < best.optimal_cost:

@@ -357,6 +357,39 @@ def walk_back(parent: dict, state, start) -> list:
     return steps
 
 
+def walks_between(graph: TemporalCostGraph, source: int, sink: int) -> TemporalCostGraph:
+    """The graph of the stored tuples that lie on some walk leaving `source`
+    at time 0 or later and ending at `sink`.
+
+    A tuple (u, v, depart, arrive) lies on one exactly when the earliest
+    arrival at u is at most `depart` and `arrive` is at most the latest time
+    v can still depart and reach the sink (any time, at the sink itself):
+    waiting is free on both sides of it. One pass in departure order
+    settles the earliest arrivals, since a tuple only follows tuples that
+    arrive by its departure and so depart before it; one pass in descending
+    arrival order settles the latest departures the same way.
+    """
+    earliest = [INF] * graph.n
+    earliest[source] = 0
+    for u, v, depart, arrive in sorted(graph._cost, key=itemgetter(2)):
+        if earliest[u] <= depart and arrive < earliest[v]:
+            earliest[v] = arrive
+    latest = [-1] * graph.n
+    latest[sink] = INF
+    for u, v, depart, arrive in sorted(graph._cost, key=itemgetter(3), reverse=True):
+        if arrive <= latest[v] and depart > latest[u]:
+            latest[u] = depart
+    return TemporalCostGraph(
+        graph.n,
+        (
+            key + (cost,)
+            for key, cost in graph._cost.items()
+            if earliest[key[0]] <= key[2] and key[3] <= latest[key[1]]
+        ),
+        graph.names,
+    )
+
+
 def distinct_vertices(walk: list, anchor: int) -> int:
     """Number of distinct vertices visited: anchor plus endpoints of moves."""
     seen = {anchor}

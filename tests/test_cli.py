@@ -107,6 +107,18 @@ class TestSolve:
         assert "cost 2\n" in out
         assert "stat colourings 1\n" in out
 
+    def test_uncountable_trials_are_a_capability_error(self, tmp_path, capsys):
+        # 758 inner colours: p!/p^p underflows, so no finite number of
+        # random colourings meets the failure probability. That is a
+        # refusal (2), not an "infeasible" answer (1).
+        n = 800
+        graph = make_graph(n, [(v, v + 1, v, v + 1, 1) for v in range(n - 1)])
+        path = tmp_path / "path.ccto"
+        save_instance(path, InstanceFile(graph, CctoInstance(graph, 0, n - 1, 2, 5)))
+        argv = ["solve", str(path), "--algorithm", "colorcoding", "--mode", "randomized"]
+        assert main(argv + ["--k", "760", "--budget", "100000"]) == 2
+        assert "758 inner colours" in capsys.readouterr().err
+
     def test_forced_inapplicable_algorithm(self, i1_path, capsys):
         code = main(["solve", i1_path, "--algorithm", "sparse"])
         assert code == 2

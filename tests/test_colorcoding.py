@@ -483,9 +483,9 @@ class TestSolveColorCoding:
         assert result.stats["note"] == "cost is a verified upper bound"
 
     def test_randomized_trial_count(self, i1):
-        # ceil(e^p * ln(1/delta)) with p = 2 inner colours, delta = 1e-3.
+        # ceil(ln(delta) / ln(1 - p!/p^p)) with p = 2 inner colours, delta = 1e-3.
         result = solve_color_coding(CctoInstance(i1, 0, 0, 3, 8), "randomized", seed=1)
-        assert result.stats["trials"] == math.ceil(math.e**2 * math.log(1000))
+        assert result.stats["trials"] == math.ceil(math.log(1e-3) / math.log(1 - 2 / 4)) == 10
 
     def test_randomized_is_reproducible(self, i1):
         instance = CctoInstance(i1, 0, 0, 3, 8)
@@ -521,7 +521,67 @@ class TestSolveColorCoding:
             CctoInstance(i1, 0, 0, 3, 8), "randomized", seed=1, failure_prob=1e-320
         )
         assert result.feasible and result.optimal_cost == 8
-        assert result.stats["trials"] == math.ceil(math.e**2 * 320 * math.log(10))
+        assert result.stats["trials"] == math.ceil(320 * math.log(10) / math.log(2)) == 1064
+
+    @pytest.mark.parametrize("prob", [1e-3, 0.3, 1e-320])
+    def test_trial_count_is_the_exact_miss_bound(self, prob):
+        # One colour: every colouring is colourful, so one trial, not the
+        # ln(prob) / ln(1 - 1) = 0 the formula gives.
+        assert colorcoding._trial_count(1, prob) == 1
+        for palette in range(2, 12):
+            hit = math.factorial(palette) / palette**palette
+            assert colorcoding._trial_count(palette, prob) == math.ceil(
+                math.log(prob) / math.log(1 - hit)
+            )
+
+    def test_one_inner_colour_runs_one_trial(self):
+        # Open query, k 3: the one inner colour always shows, so a miss
+        # (here the budget) is settled by a single colouring.
+        graph = make_graph(6, [(0, 1, 1, 2, 1), (1, 2, 2, 3, 1), (3, 4, 1, 2, 1)])
+        result = solve_color_coding(CctoInstance(graph, 0, 2, 3, 0), "randomized", seed=1)
+        assert not result.feasible and result.optimal_cost == 2
+        assert result.stats["trials"] == result.stats["trials_used"] == 1
+
+    def test_uncountable_trials_are_a_capability_error(self):
+        # 758 inner colours: p!/p^p underflows and e^p overflows a float.
+        n = 800
+        graph = make_graph(n, [(v, v + 1, v, v + 1, 1) for v in range(n - 1)])
+        instance = CctoInstance(graph, 0, n - 1, 760, 100_000)
+        with pytest.raises(CapabilityError, match="758 inner colours"):
+            solve_color_coding(instance, "randomized", seed=1)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
+    def test_pruning_changes_only_the_state_count(self, monkeypatch, mode):
+        # Sweeping only the moves on a source -> sink walk keeps every
+        # answer, witness and colouring or trial count of the whole graph.
+        suite = instances_for_suite(seed=1705, count=60, n_range=(2, 7), horizon_range=(3, 8))
+        calls = []
+        prune = colorcoding.walks_between
+
+        def counted(graph, source, sink):
+            calls.append((source, sink))
+            return prune(graph, source, sink)
+
+        def run():
+            return [solve_color_coding(inst, mode, seed=i) for i, inst in enumerate(suite)]
+
+        monkeypatch.setattr(colorcoding, "walks_between", counted)
+        pruned = run()
+        monkeypatch.setattr(colorcoding, "walks_between", lambda graph, source, sink: graph)
+        whole = run()
+        assert len(calls) <= len(suite)  # at most once per call
+        fewer = 0
+        for inst, got, want in zip(suite, pruned, whole):
+            assert (got.feasible, got.optimal_cost, got.witness) == (
+                want.feasible, want.optimal_cost, want.witness
+            ), inst
+            got_stats, want_stats = dict(got.stats), dict(want.stats)
+            assert got_stats.pop("states", 0) <= want_stats.pop("states", 0)
+            assert got_stats == want_stats
+            fewer += got.stats.get("states", 0) < want.stats.get("states", 0)
+        assert {inst.source == inst.sink for inst in suite} == {True, False}
+        assert sum(result.feasible for result in whole) >= 10
+        assert fewer >= 20
 
     def test_unknown_mode(self, i1):
         with pytest.raises(ValueError):

@@ -15,9 +15,17 @@ from ccto.core import (
     validate_walk,
     walk_back,
     walk_cost,
+    walks_between,
 )
 from ccto.instances import from_edge_labels, random_instance
-from conftest import W1, make_graph, random_tuple_set, random_valid_walk
+from conftest import (
+    W1,
+    enumerate_walks,
+    instances_for_suite,
+    make_graph,
+    random_tuple_set,
+    random_valid_walk,
+)
 
 
 class TestCostAccessor:
@@ -336,6 +344,34 @@ def test_random_graphs_are_consistent(n, horizon, count, seed):
     assert graph.tuple_count() == len(tuples)
     listed = list(graph.tuples())
     assert listed == sorted(listed)
+
+
+class TestWalksBetween:
+    def test_keeps_exactly_the_tuples_on_a_source_sink_walk(self):
+        closed = set()
+        for inst in instances_for_suite(seed=1706, count=80, n_range=(2, 7), horizon_range=(3, 7)):
+            graph, source, sink = inst.graph, inst.source, inst.sink
+            on_walks = {
+                step
+                for walk in enumerate_walks(graph, source)
+                if walk and walk[-1][1] == sink
+                for step in walk
+            }
+            pruned = walks_between(graph, source, sink)
+            assert pruned.n == graph.n
+            assert {t[:4] for t in pruned.tuples()} == on_walks, inst
+            assert all(graph.cost(*t[:4]) == t[4] for t in pruned.tuples())
+            closed.add(source == sink)
+        assert closed == {True, False}
+
+    def test_leaves_only_moves_that_can_still_reach_the_sink(self, i1):
+        # From 0 to 2 the tour's way back (2 -> 1 -> 0) is of no use.
+        pruned = walks_between(i1, 0, 2)
+        assert list(pruned.tuples()) == [(0, 1, 1, 2, 2), (1, 2, 2, 3, 4)]
+        assert list(walks_between(i1, 0, 0).tuples()) == list(i1.tuples())
+        # From 2, the walk can only start on the tour's way back.
+        assert list(walks_between(i1, 2, 0).tuples()) == [(1, 0, 5, 6, 1), (2, 1, 4, 5, 1)]
+        assert walks_between(i1, 2, 2).tuple_count() == 0
 
 
 class TestInstance:
