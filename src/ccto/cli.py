@@ -50,7 +50,7 @@ from .tree_solvers import (
     subforest_applicable,
     tree_closed_applicable,
 )
-from .vitw import _live_intervals, bag_width, solve_vitw, vitw_window
+from .vitw import bag_width, solve_vitw, vitw_window
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -210,7 +210,7 @@ def cmd_analyze(args) -> int:
             file=out,
         )
     print(f"width {bag_width(graph)}", file=out)
-    for v, (start, stop) in sorted(_live_intervals(graph).items()):
+    for v, (start, stop) in sorted(graph.live_intervals().items()):
         print(f"interval {_label(graph, v)} {start} {stop}", file=out)
     # Without a query, judge every solver against a closed walk from 0.
     query = file.query or CctoInstance(graph, 0, 0, 1, 0)

@@ -162,8 +162,8 @@ def _trial_count(palette, failure_prob):
     inner vertices has drawn distinct colours in none of them with
     probability at most failure_prob: ceil(ln(failure_prob) / ln(1 - P)),
     where P = p!/p^p is the chance that p vertices draw p distinct colours.
-    P is formed in log space; with one colour every colouring is colourful,
-    so one trial is enough.
+    P is an exact integer ratio, correctly rounded; with one colour every
+    colouring is colourful, so one trial is enough.
 
     Raises:
         CapabilityError: if the count is not a finite float, which happens
@@ -171,7 +171,7 @@ def _trial_count(palette, failure_prob):
     """
     if palette == 1:
         return 1
-    hit = math.exp(math.lgamma(palette + 1) - palette * math.log(palette))
+    hit = math.factorial(palette) / palette**palette
     trials = math.log(failure_prob) / math.log1p(-hit) if hit else INF
     if not math.isfinite(trials):
         raise CapabilityError(

@@ -72,25 +72,31 @@ def tuple_problem(item: tuple, n: int, stored) -> Optional[str]:
 
 
 class _GraphIndex(NamedTuple):
-    """What the static-structure queries read, built in one pass."""
+    """Every per-graph fact besides the stored moves, built in one pass."""
 
+    edges: frozenset  # (min_id, max_id) pairs: the keys of `traversal`
+    lifetime: int  # latest stored arrival time, 0 without tuples
+    events: int  # time 0 plus each distinct stored arrival time
+    intervals: dict  # vertex -> (first arrival, last departure), where not empty
+    incidence: list  # stored tuples touching each vertex, indexed by vertex
     adjacency: list  # list[set[int]], indexed by vertex
     traversal: dict  # (min_id, max_id) -> max traversal number
     connected: bool
-    events: int  # time 0 plus each distinct stored arrival time
 
 
 class TemporalCostGraph:
     """Finite set of costed movement tuples over a common vertex set.
 
-    Each tuple is validated once, here, in the same pass that stores it.
-    The static-structure queries (`neighbors`, `is_connected`, `is_tree`,
-    `traversal_numbers`, `max_traversal_number`) read an index built from
-    the stored tuples on first use, so construction pays nothing for it.
-    Filling that index is the one internal write after construction: it is
-    idempotent, and two threads racing on it each build an equal index and
-    store it with one attribute assignment, so sharing a graph between
-    threads stays safe.
+    Each tuple is validated once, here, in the same pass that stores it;
+    the constructor keeps only the cost of each tuple and each vertex's
+    moves in departure order. Every other per-graph fact (`edges`,
+    `lifetime`, `live_intervals`, `traversal_numbers`, adjacency,
+    connectivity, event and incidence counts) comes from one index built
+    from the stored tuples on first use, so construction pays nothing for
+    it. Filling that index is the one internal write after construction:
+    it is idempotent, and two threads racing on it each build an equal
+    index and store it with one attribute assignment, so sharing a graph
+    between threads stays safe.
 
     Args:
         n: number of vertices (ids 0..n-1).
@@ -104,7 +110,7 @@ class TemporalCostGraph:
             `tuple_problem`, and on a name that a file cannot carry.
     """
 
-    __slots__ = ("n", "names", "_cost", "_by_source", "_edges", "lifetime", "_index")
+    __slots__ = ("n", "names", "_cost", "_by_source", "_index")
 
     def __init__(self, n: int, tuples: Iterable[tuple], names: Optional[dict] = None):
         if type(n) is not int or n < 1:
@@ -118,8 +124,6 @@ class TemporalCostGraph:
                 raise ValueError(f"vertex {vid} name {name!r} cannot be written to a file")
         cost_map: dict[tuple[int, int, int, int], int] = {}
         by_source: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
-        edges = set()
-        lifetime = 0
         for item in tuples:
             u, v, depart, arrive, cost = item
             key = (u, v, depart, arrive)
@@ -133,15 +137,10 @@ class TemporalCostGraph:
                 raise ValueError(tuple_problem(item, n, cost_map))
             cost_map[key] = cost
             by_source[u].append((depart, arrive, v, cost))
-            edges.add((u, v) if u < v else (v, u))
-            if arrive > lifetime:
-                lifetime = arrive
         for moves in by_source.values():
             moves.sort()
         self._cost = cost_map
         self._by_source = dict(by_source)  # a plain dict: lookups never insert
-        self._edges = frozenset(edges)
-        self.lifetime = lifetime
         self._index = None
 
     def _check_vertex(self, v) -> None:
@@ -178,7 +177,17 @@ class TemporalCostGraph:
     @property
     def edges(self) -> frozenset:
         """Underlying static edges as (min_id, max_id) pairs."""
-        return self._edges
+        return self._graph_index().edges
+
+    @property
+    def lifetime(self) -> int:
+        """Latest stored arrival time; 0 without tuples."""
+        return self._graph_index().lifetime
+
+    def live_intervals(self) -> Mapping:
+        """Read-only map from each vertex that sits in some vitw bag to its
+        (first arrival, last departure), both inclusive."""
+        return MappingProxyType(self._graph_index().intervals)
 
     def _graph_index(self) -> _GraphIndex:
         index = self._index
@@ -187,25 +196,35 @@ class TemporalCostGraph:
         return index
 
     def _build_index(self) -> _GraphIndex:
-        adjacency = [set() for _ in range(self.n)]
-        for u, v in self._edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
         # Activity selection on every edge at once: time pairs in order of
         # arrival, each taken when it departs no earlier than the last pair
         # taken on its edge arrived. A pair stored in both directions is
         # taken at most once, because its second copy departs before the
-        # first one arrives.
+        # first one arrives. Every edge takes its first pair, so the taken
+        # counts are keyed by exactly the edges.
         traversal: dict[tuple[int, int], int] = {}
         frontier: dict[tuple[int, int], int] = {}
+        first_arrival: dict[int, int] = {}
+        incidence = [len(self._by_source.get(u, ())) for u in range(self.n)]
         events, last = 1, 0  # time 0, then each distinct arrival (all >= 1)
         for u, v, depart, arrive in sorted(self._cost, key=itemgetter(3, 2)):
             if arrive != last:
                 events, last = events + 1, arrive
+            first_arrival.setdefault(v, arrive)
+            incidence[v] += 1
             edge = (u, v) if u < v else (v, u)
             if depart >= frontier.get(edge, -1):
                 traversal[edge] = traversal.get(edge, 0) + 1
                 frontier[edge] = arrive
+        intervals = {}
+        for v, start in first_arrival.items():
+            moves = self._by_source.get(v)
+            if moves and start <= moves[-1][0]:  # the last move departs latest
+                intervals[v] = (start, moves[-1][0])
+        adjacency = [set() for _ in range(self.n)]
+        for u, v in traversal:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
         seen = {0}
         stack = [0]
         while stack:
@@ -213,7 +232,10 @@ class TemporalCostGraph:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return _GraphIndex(adjacency, traversal, len(seen) == self.n, events)
+        connected = len(seen) == self.n
+        return _GraphIndex(
+            frozenset(traversal), last, events, intervals, incidence, adjacency, traversal, connected
+        )
 
     def neighbors(self, u: int) -> set:
         self._check_vertex(u)
@@ -224,7 +246,7 @@ class TemporalCostGraph:
         return self._graph_index().connected
 
     def is_tree(self) -> bool:
-        return len(self._edges) == self.n - 1 and self._graph_index().connected
+        return len(self.edges) == self.n - 1 and self.is_connected()
 
     def traversal_numbers(self) -> Mapping:
         """Read-only map from every edge (min_id, max_id) to its
@@ -379,15 +401,15 @@ def walks_between(graph: TemporalCostGraph, source: int, sink: int) -> TemporalC
     for u, v, depart, arrive in sorted(graph._cost, key=itemgetter(3), reverse=True):
         if arrive <= latest[v] and depart > latest[u]:
             latest[u] = depart
-    return TemporalCostGraph(
-        graph.n,
-        (
-            key + (cost,)
-            for key, cost in graph._cost.items()
-            if earliest[key[0]] <= key[2] and key[3] <= latest[key[1]]
-        ),
-        graph.names,
-    )
+    # The kept moves are valid and in order already, so they fill an empty
+    # graph's maps directly instead of passing the constructor's checks.
+    pruned = TemporalCostGraph(graph.n, (), graph.names)
+    for u, moves in graph._by_source.items():
+        kept = [move for move in moves if earliest[u] <= move[0] and move[1] <= latest[move[2]]]
+        if kept:
+            pruned._by_source[u] = kept
+            pruned._cost.update(((u, v, depart, arrive), cost) for depart, arrive, v, cost in kept)
+    return pruned
 
 
 def distinct_vertices(walk: list, anchor: int) -> int:

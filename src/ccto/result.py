@@ -31,10 +31,8 @@ def _sweep_solve(graph, start, step, accept, budget, solver, **stats):
     smallest such state on ties) with its witness, and `states`, the number
     of labels settled, ahead of `stats`."""
     labels, parent = _label_sweep(graph, start, step)
-    best, state = INF, None
-    for candidate in sorted(labels):
-        if labels[candidate] < best and accept(candidate):
-            best, state = labels[candidate], candidate
+    accepted = ((cost, state) for state, cost in labels.items() if accept(state))
+    best, state = min(accepted, default=(INF, None))
     return SolveResult(
         feasible=best <= budget,
         optimal_cost=best,

@@ -238,18 +238,11 @@ def solve_subforest(
 
 
 def _check_sparse_triples(graph: TemporalCostGraph):
-    counts = [0] * graph.n
-    for u in range(graph.n):
-        moves = graph.moves_from(u)
-        counts[u] += len(moves)
-        for move in moves:
-            counts[move[2]] += 1
-    for vertex, count in enumerate(counts):
+    for vertex, count in enumerate(graph._graph_index().incidence):
         if count > 3:
             label = graph.names.get(vertex, str(vertex))
             raise NotApplicableError(
-                f"vertex {label} participates in {count} stored tuples, "
-                "more than 3"
+                f"vertex {label} participates in {count} stored tuples, more than 3"
             )
 
 

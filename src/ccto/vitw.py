@@ -29,21 +29,6 @@ class VitwSequence:
     width: int
 
 
-def _live_intervals(graph: TemporalCostGraph) -> dict:
-    """Vertex -> (earliest arrival, latest departure), where not empty."""
-    first_arrival: dict[int, int] = {}
-    last_departure: dict[int, int] = {}
-    for u in range(graph.n):
-        for depart, arrive, v, _ in graph.moves_from(u):  # sorted by depart
-            last_departure[u] = depart
-            first_arrival[v] = min(arrive, first_arrival.get(v, arrive))
-    return {
-        v: (start, last_departure[v])
-        for v, start in first_arrival.items()
-        if start <= last_departure.get(v, -1)
-    }
-
-
 def vitw_sequence(graph: TemporalCostGraph) -> VitwSequence:
     """Bags H_t = vertices with an arrival <= t and a departure >= t.
 
@@ -51,7 +36,7 @@ def vitw_sequence(graph: TemporalCostGraph) -> VitwSequence:
     exactly the interval [earliest arrival, latest departure].
     """
     bags = [set() for _ in range(graph.lifetime + 1)]
-    for v, (start, stop) in _live_intervals(graph).items():
+    for v, (start, stop) in graph.live_intervals().items():
         for t in range(start, stop + 1):
             bags[t].add(v)
     frozen = [frozenset(bag) for bag in bags]
@@ -59,11 +44,11 @@ def vitw_sequence(graph: TemporalCostGraph) -> VitwSequence:
 
 
 def bag_width(graph: TemporalCostGraph) -> int:
-    """`vitw_sequence(graph).width` from one sweep over the sorted interval
-    ends, O(m + n log n) for m stored tuples whatever the lifetime."""
+    """`vitw_sequence(graph).width` from one sweep over the sorted ends of
+    `graph.live_intervals()`, whatever the lifetime."""
     # At equal times a vertex leaving (-1) sorts before one arriving.
     events = sorted(
-        end for start, stop in _live_intervals(graph).values()
+        end for start, stop in graph.live_intervals().values()
         for end in ((start, 1), (stop + 1, -1))
     )
     width = live = 0

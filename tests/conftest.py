@@ -154,6 +154,14 @@ def instances_for_suite(seed, count, n_range=(3, 6), horizon_range=(4, 8)):
     return out
 
 
+def bag_by_quantifiers(graph, v, t):
+    """v is in the bag at t iff some arrival lands at or before t and some
+    departure leaves at or after t; written as a direct scan on purpose."""
+    arrives = any(w == v and a <= t for _, w, _, a, _ in graph.tuples())
+    departs = any(u == v and d >= t for u, _, d, _, _ in graph.tuples())
+    return arrives and departs
+
+
 def all_quadruples(graph):
     top = graph.lifetime
     for u, v in itertools.product(range(graph.n), repeat=2):

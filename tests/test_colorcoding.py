@@ -4,6 +4,7 @@ The paper's colour-order decomposition (`ordered_walk_min`) is defined
 here as the reference that the colour-subset sweep is checked against.
 """
 
+import decimal
 import itertools
 import math
 import time
@@ -523,16 +524,21 @@ class TestSolveColorCoding:
         assert result.feasible and result.optimal_cost == 8
         assert result.stats["trials"] == math.ceil(320 * math.log(10) / math.log(2)) == 1064
 
-    @pytest.mark.parametrize("prob", [1e-3, 0.3, 1e-320])
+    @pytest.mark.parametrize(
+        "prob", [1e-3, 0.3, 1e-320, 0.5, 0.25, 0.125, 0.1, 0.9, 0.99, 1e-2, 1e-6, 1e-9, 1e-15, 1e-100]
+    )
     def test_trial_count_is_the_exact_miss_bound(self, prob):
         # One colour: every colouring is colourful, so one trial, not the
         # ln(prob) / ln(1 - 1) = 0 the formula gives.
         assert colorcoding._trial_count(1, prob) == 1
-        for palette in range(2, 12):
-            hit = math.factorial(palette) / palette**palette
-            assert colorcoding._trial_count(palette, prob) == math.ceil(
-                math.log(prob) / math.log(1 - hit)
-            )
+        # ceil(ln(prob) / ln(1 - p!/p^p)) to 60 digits. Where the quotient is
+        # a whole number (p = 2 at prob 0.5, 0.25, 0.125) it must not round up.
+        with decimal.localcontext() as context:
+            context.prec = 60
+            for palette in range(2, 32):
+                hit = decimal.Decimal(math.factorial(palette)) / decimal.Decimal(palette) ** palette
+                expected = math.ceil(decimal.Decimal(prob).ln() / (1 - hit).ln())
+                assert colorcoding._trial_count(palette, prob) == expected, palette
 
     def test_one_inner_colour_runs_one_trial(self):
         # Open query, k 3: the one inner colour always shows, so a miss

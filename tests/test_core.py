@@ -20,6 +20,7 @@ from ccto.core import (
 from ccto.instances import from_edge_labels, random_instance
 from conftest import (
     W1,
+    bag_by_quantifiers,
     enumerate_walks,
     instances_for_suite,
     make_graph,
@@ -344,6 +345,59 @@ def test_random_graphs_are_consistent(n, horizon, count, seed):
     assert graph.tuple_count() == len(tuples)
     listed = list(graph.tuples())
     assert listed == sorted(listed)
+
+
+@st.composite
+def stored_graphs(draw):
+    """A graph on 1-6 vertices with up to 12 time pairs, some stored in both
+    directions, with optional names, and a (source, sink) pair."""
+    n = draw(st.integers(1, 6))
+    stored = {}
+    if n > 1:
+        vertex = st.integers(0, n - 1)
+        pairs = st.tuples(vertex, vertex, st.integers(0, 8), st.integers(1, 4), st.booleans())
+        for u, v, depart, span, both in draw(st.lists(pairs, max_size=12)):
+            if u != v:
+                for a, b in [(u, v), (v, u)][: 1 + both]:
+                    stored.setdefault((a, b, depart, depart + span), draw(st.integers(1, 9)))
+    names = {v: f"v{v}" for v in range(n)} if draw(st.booleans()) else None
+    graph = TemporalCostGraph(n, [key + (cost,) for key, cost in stored.items()], names)
+    return graph, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+@given(stored_graphs())
+def test_index_matches_direct_recomputation(drawn):
+    graph, source, sink = drawn
+    tuples = list(graph.tuples())
+    index = graph._graph_index()
+    edges = {(min(u, v), max(u, v)) for u, v, _, _, _ in tuples}
+    assert graph.edges == frozenset(edges) and type(graph.edges) is frozenset
+    assert graph.lifetime == max((t[3] for t in tuples), default=0)
+    assert index.events == len({0} | {t[3] for t in tuples})
+    intervals = {}
+    for v in range(graph.n):
+        times = [t for t in range(graph.lifetime + 1) if bag_by_quantifiers(graph, v, t)]
+        if times:
+            intervals[v] = (times[0], times[-1])
+    assert dict(graph.live_intervals()) == intervals
+    assert index.incidence == [sum(v in t[:2] for t in tuples) for v in range(graph.n)]
+    assert dict(graph.traversal_numbers()) == {e: scan_traversal_number(graph, *e) for e in edges}
+
+    # Tuples with a chain of tuples from the source before them and one to
+    # the sink after them, each grown to a fixpoint.
+    after_source = {t for t in tuples if t[0] == source}
+    before_sink = {t for t in tuples if t[1] == sink}
+    for _ in tuples:
+        after_source |= {t for t in tuples for p in after_source if p[1] == t[0] and p[3] <= t[2]}
+        before_sink |= {t for t in tuples for q in before_sink if t[1] == q[0] and t[3] <= q[2]}
+    kept = sorted(after_source & before_sink)
+    pruned = walks_between(graph, source, sink)
+    rebuilt = TemporalCostGraph(graph.n, kept, graph.names)
+    assert list(pruned.tuples()) == list(rebuilt.tuples())
+    assert all(pruned.moves_from(u) == rebuilt.moves_from(u) for u in range(graph.n))
+    assert pruned.edges == rebuilt.edges
+    assert pruned.lifetime == rebuilt.lifetime
+    assert pruned.names == graph.names
 
 
 class TestWalksBetween:

@@ -9,15 +9,7 @@ from ccto.oracle import solve_exact
 from ccto.result import verify_result
 from ccto.vitw import MAX_VITW_HORIZON, solve_vitw, vitw_sequence
 
-from conftest import I1_TUPLES, I3_TUPLES, W1, instances_for_suite, make_graph
-
-
-def bag_by_quantifiers(graph, v, t):
-    """v is in the bag at t iff some arrival lands at or before t and some
-    departure leaves at or after t; written as a direct scan on purpose."""
-    arrives = any(w == v and a <= t for _, w, _, a, _ in graph.tuples())
-    departs = any(u == v and d >= t for u, _, d, _, _ in graph.tuples())
-    return arrives and departs
+from conftest import I1_TUPLES, I3_TUPLES, W1, bag_by_quantifiers, instances_for_suite, make_graph
 
 
 class TestVitwSequence:
