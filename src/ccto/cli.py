@@ -16,12 +16,7 @@ import sys
 import time
 from collections import namedtuple
 
-from .colorcoding import (
-    DEFAULT_FAILURE_PROB,
-    MAX_EXHAUSTIVE_COLOURINGS,
-    exhaustive_colouring_count,
-    solve_color_coding,
-)
+from .colorcoding import DEFAULT_FAILURE_PROB, _colouring_plan, solve_color_coding
 from .core import (
     INF,
     CapabilityError,
@@ -40,7 +35,7 @@ from .instances import (
     serialize_instance,
     starexp_reduction,
 )
-from .oracle import MAX_ORACLE_VERTICES, solve_exact
+from .oracle import check_oracle_size, solve_exact
 from .result import budget_precheck
 from .tree_solvers import (
     solve_sparse_triples,
@@ -62,25 +57,11 @@ EXIT_DISAGREEMENT = 3
 MAX_EXPANDED_NODES = 10**5
 
 
-def _colorcoding_mode(instance: CctoInstance) -> str:
-    if exhaustive_colouring_count(instance) <= MAX_EXHAUSTIVE_COLOURINGS:
-        return "exhaustive"
-    return "randomized"
-
-
-def _run_colorcoding(instance, subforest, args):
-    # `bench` has no --mode; exhaustive mode ignores the randomized options.
-    return solve_color_coding(
-        instance,
-        getattr(args, "mode", None) or _colorcoding_mode(instance),
-        seed=args.seed,
-        failure_prob=args.failure_prob,
-    )
-
-
 # run(instance, subforest, args) -> SolveResult, and applicable(instance,
-# subforest) -> bool. Both look solvers up in this module's globals when
-# called, so a test can substitute one by patching its name here.
+# subforest) -> bool: whether run refuses by NotApplicableError or
+# CapabilityError, with colour coding in its default mode and failure
+# probability. Both look solvers up in this module's globals when called,
+# so a test can substitute one by patching its name here.
 Solver = namedtuple("Solver", "run applicable")
 
 # Every solver the CLI offers, in dispatch (and `analyze` row) order:
@@ -88,7 +69,7 @@ Solver = namedtuple("Solver", "run applicable")
 SOLVERS = {
     "oracle": Solver(
         lambda instance, subforest, args: solve_exact(instance),
-        lambda instance, subforest: instance.graph.n <= MAX_ORACLE_VERTICES,
+        lambda instance, subforest: _holds(check_oracle_size, instance.graph),
     ),
     "sparse": Solver(
         lambda instance, subforest, args: solve_sparse_triples(instance),
@@ -106,15 +87,23 @@ SOLVERS = {
         lambda instance, subforest, args: solve_vitw(instance),
         lambda instance, subforest: _holds(vitw_window, instance),
     ),
-    "colorcoding": Solver(_run_colorcoding, lambda instance, subforest: True),
+    # `bench` has no --mode; exhaustive mode ignores the randomized options.
+    "colorcoding": Solver(
+        lambda instance, subforest, args: solve_color_coding(
+            instance, getattr(args, "mode", None), seed=args.seed, failure_prob=args.failure_prob
+        ),
+        lambda instance, subforest: _holds(_colouring_plan, instance),
+    ),
 }
 
 def choose_solver(instance: CctoInstance, subforest=()) -> str:
     """The first `SOLVERS` row whose check passes; the budget precheck runs
-    before it."""
-    return next(
-        name for name, solver in SOLVERS.items() if solver.applicable(instance, subforest)
-    )
+    before it. When none does, colour coding's refusal is raised."""
+    for name, solver in SOLVERS.items():
+        if solver.applicable(instance, subforest):
+            return name
+    _colouring_plan(instance)
+    raise CapabilityError("no solver applies")
 
 
 def _query_from(args, file) -> CctoInstance:

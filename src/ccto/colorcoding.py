@@ -38,7 +38,7 @@ from .core import (
 )
 from .result import SolveResult, _sweep_solve, verify_result
 
-MAX_EXHAUSTIVE_COLOURINGS = 1_000_000
+MAX_COLOURINGS = 1_000_000
 DEFAULT_FAILURE_PROB = 1e-3
 
 
@@ -110,10 +110,8 @@ def _palette(graph, source, sink, k):
 
 
 def exhaustive_colouring_count(instance: CctoInstance) -> int:
-    """Colourings the exhaustive cap counts: palette ** inner vertices."""
-    inner, palette = _palette(
-        instance.graph, instance.source, instance.sink, instance.k
-    )
+    """Colourings the cap counts in exhaustive mode: palette ** inner vertices."""
+    inner, palette = _palette(instance.graph, instance.source, instance.sink, instance.k)
     return max(palette, 0) ** len(inner)
 
 
@@ -163,22 +161,18 @@ def _trial_count(palette, failure_prob):
     probability at most failure_prob: ceil(ln(failure_prob) / ln(1 - P)),
     where P = p!/p^p is the chance that p vertices draw p distinct colours.
     P is an exact integer ratio, correctly rounded; with one colour every
-    colouring is colourful, so one trial is enough.
-
-    Raises:
-        CapabilityError: if the count is not a finite float, which happens
-            from a palette of about 710 on.
+    colouring is colourful, so one trial is enough. A count that is no
+    finite float is INF.
     """
     if palette == 1:
         return 1
+    # ln P from lgamma: far below ln of the smallest float (about -745), P
+    # rounds to 0, so p! and p^p are never built.
+    if math.lgamma(palette + 1) - palette * math.log(palette) < -800:
+        return INF
     hit = math.factorial(palette) / palette**palette
     trials = math.log(failure_prob) / math.log1p(-hit) if hit else INF
-    if not math.isfinite(trials):
-        raise CapabilityError(
-            f"{palette} inner colours need more random colourings than a float "
-            f"can count at failure probability {failure_prob}"
-        )
-    return math.ceil(trials)
+    return math.ceil(trials) if math.isfinite(trials) else INF
 
 
 def _partitions(count, parts):
@@ -200,9 +194,38 @@ def _partitions(count, parts):
         assign[i + 1 :] = [1] * (count - i - 1 - parts + used) + list(range(used + 1, parts + 1))
 
 
+def _colouring_plan(instance: CctoInstance, mode=None, failure_prob=DEFAULT_FAILURE_PROB):
+    """(mode, count) of a `solve_color_coding` run, and colour coding's
+    check in dispatch. No mode means exhaustive if its palette ** inner
+    vertices colourings fit the cap, else randomized, which counts
+    `_trial_count` trials; a query that needs no colouring counts 0.
+
+    Raises:
+        ValueError: for an unknown mode or a failure probability outside (0, 1).
+        CapabilityError: if the count exceeds MAX_COLOURINGS, in either mode.
+    """
+    inner, palette = _palette(instance.graph, instance.source, instance.sink, instance.k)
+    if mode != "randomized":
+        colourings = exhaustive_colouring_count(instance)
+        mode = mode or ("exhaustive" if colourings <= MAX_COLOURINGS else "randomized")
+    if mode not in ("exhaustive", "randomized"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "randomized" and not 0 < failure_prob < 1:
+        raise ValueError(f"failure probability {failure_prob} is not in (0, 1)")
+    if not 0 < palette <= len(inner):
+        return mode, 0
+    count = colourings if mode == "exhaustive" else _trial_count(palette, failure_prob)
+    if count > MAX_COLOURINGS:
+        raise CapabilityError(
+            f"{count} {mode} colourings exceed the cap {MAX_COLOURINGS} "
+            f"({palette} inner colours on {len(inner)} inner vertices)"
+        )
+    return mode, count
+
+
 def solve_color_coding(
     instance: CctoInstance,
-    mode: str = "exhaustive",
+    mode: str | None = "exhaustive",
     *,
     failure_prob: float = DEFAULT_FAILURE_PROB,
     seed=None,
@@ -219,7 +242,7 @@ def solve_color_coding(
     probability below failure_prob, and it stops at the first trial within
     budget. A feasible answer always carries a re-validated witness;
     "infeasible" from randomized mode means no witness was found at that
-    confidence.
+    confidence. Mode None picks one as `_colouring_plan` does.
 
     Every colouring is swept on `walks_between(graph, source, sink)`, built
     once. Each move into a state that can reach an accepting state lies on
@@ -229,19 +252,15 @@ def solve_color_coding(
     labels the smaller graph settles.
 
     Raises:
-        CapabilityError: if exhaustive mode needs more than
-            MAX_EXHAUSTIVE_COLOURINGS colourings, or randomized mode more
-            trials than a float can count.
+        CapabilityError: if the mode needs more than MAX_COLOURINGS
+            colourings or trials, before any sweep runs.
     """
     graph, source, sink = instance.graph, instance.source, instance.sink
     k, budget = instance.k, instance.budget
-    inner, palette = _palette(graph, source, sink, k)
-    if mode not in ("exhaustive", "randomized"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "randomized" and not 0 < failure_prob < 1:
-        raise ValueError(f"failure probability {failure_prob} is not in (0, 1)")
+    mode, trials = _colouring_plan(instance, mode, failure_prob)
     if mode == "randomized" and seed is None:
         raise ValueError("randomized mode needs a seed")
+    inner, palette = _palette(graph, source, sink, k)
 
     if palette <= 0:
         result = solve_colourful(graph, source, sink, k, {}, budget)
@@ -257,16 +276,10 @@ def solve_color_coding(
         )
 
     if mode == "exhaustive":
-        bound = exhaustive_colouring_count(instance)
-        if bound > MAX_EXHAUSTIVE_COLOURINGS:
-            raise CapabilityError(
-                f"{bound} colourings exceed the cap {MAX_EXHAUSTIVE_COLOURINGS}"
-            )
         colourings = (
             dict(zip(inner, assign)) for assign in _partitions(len(inner), palette)
         )
     else:
-        trials = _trial_count(palette, failure_prob)
         colourings = (
             {v: rng.randint(1, palette) for v in inner}
             for rng in (random.Random(seed * 1_000_003 + i) for i in range(trials))

@@ -17,6 +17,15 @@ MAX_WALK_ORACLE_LIFETIME = 10
 DONE = -1
 
 
+def check_oracle_size(graph, max_vertices=MAX_ORACLE_VERTICES, max_lifetime=None):
+    """Raise CapabilityError past max_vertices vertices or, if given, a
+    lifetime of max_lifetime; the defaults are `solve_exact`'s caps."""
+    if graph.n > max_vertices:
+        raise CapabilityError(f"oracle handles at most {max_vertices} vertices, got {graph.n}")
+    if max_lifetime is not None and graph.lifetime > max_lifetime:
+        raise CapabilityError(f"oracle handles lifetimes to {max_lifetime}, got {graph.lifetime}")
+
+
 def solve_exact(instance: CctoInstance) -> SolveResult:
     """Solve an instance by dynamic programming over visited-vertex sets.
 
@@ -30,11 +39,7 @@ def solve_exact(instance: CctoInstance) -> SolveResult:
     sorted order and labels improve strictly.
     """
     graph = instance.graph
-    if graph.n > MAX_ORACLE_VERTICES:
-        raise CapabilityError(
-            f"exhaustive solver handles at most {MAX_ORACLE_VERTICES} vertices, "
-            f"got {graph.n}"
-        )
+    check_oracle_size(graph)
     k = instance.k
     start = (instance.source, 0, DONE if k == 1 else 1 << instance.source)
     labels = {start: 0}
@@ -81,16 +86,7 @@ def min_cost_walk_oracle(
     of stored tuples by depth-first search, no memoization — this is the
     independent yardstick for the shared-subwalk tables elsewhere.
     """
-    if graph.n > MAX_WALK_ORACLE_VERTICES:
-        raise CapabilityError(
-            f"walk oracle handles at most {MAX_WALK_ORACLE_VERTICES} vertices, "
-            f"got {graph.n}"
-        )
-    if graph.lifetime > MAX_WALK_ORACLE_LIFETIME:
-        raise CapabilityError(
-            f"walk oracle handles lifetimes up to {MAX_WALK_ORACLE_LIFETIME}, "
-            f"got {graph.lifetime}"
-        )
+    check_oracle_size(graph, MAX_WALK_ORACLE_VERTICES, MAX_WALK_ORACLE_LIFETIME)
     graph._check_vertex(u)
     graph._check_vertex(v)
     if u == v and t1 <= t2:

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from ccto.cli import (
     MAX_EXPANDED_NODES,
     SOLVERS,
-    _colorcoding_mode,
     build_parser,
     choose_solver,
     main,
 )
-from ccto.colorcoding import DEFAULT_FAILURE_PROB
+from ccto.colorcoding import DEFAULT_FAILURE_PROB, MAX_COLOURINGS, _colouring_plan
 from ccto.core import (
     CapabilityError,
     CctoInstance,
@@ -335,9 +334,26 @@ class TestChooseSolver:
 
     def test_colorcoding_mode_split(self):
         small = CctoInstance(make_graph(3, I1_TUPLES), 0, 0, 3, 8)
-        assert _colorcoding_mode(small) == "exhaustive"
+        assert _colouring_plan(small)[0] == "exhaustive"
         wide = CctoInstance(make_graph(14, [(0, 1, 1, 2, 1)]), 0, 1, 6, 99)
-        assert _colorcoding_mode(wide) == "randomized"
+        assert _colouring_plan(wide)[0] == "randomized"
+
+    def test_no_row_applies_to_a_randomized_plan_past_the_cap(self, tmp_path, capsys):
+        # 30 vertices, closed k 16: 15 inner colours on 29 inner vertices
+        # plan 2,313,160 random colourings, days of sweeps. Every row
+        # refuses, and dispatch says so at once instead of running them.
+        inst = random_instance(seed=5, n=30, horizon=10, density=0.3, shape="general")
+        inst = CctoInstance(inst.graph, 0, 0, 16, 10**6)
+        started = time.perf_counter()
+        with pytest.raises(CapabilityError, match=f"^2313160 randomized .* cap {MAX_COLOURINGS} "):
+            choose_solver(inst)
+        path = tmp_path / "item6.ccto"
+        save_instance(path, InstanceFile(inst.graph, inst))
+        assert main(["solve", str(path)]) == 2
+        assert "2313160 randomized colourings exceed the cap" in capsys.readouterr().err
+        assert main(["analyze", str(path)]) == 0
+        assert "applicable colorcoding no\n" in capsys.readouterr().out
+        assert time.perf_counter() - started < 2
 
 
 class TestAnalyze:
@@ -631,6 +647,14 @@ class TestBench:
         assert "no query" in capsys.readouterr().err
 
 
+def _dispatched(instance):
+    """`choose_solver`'s row, or "refused" when no row applies."""
+    try:
+        return choose_solver(instance)
+    except CapabilityError:
+        return "refused"
+
+
 def _dispatch_instances():
     """Seeded instances past the oracle cap that reach every branch of
     dispatch after the oracle."""
@@ -664,15 +688,15 @@ class TestDispatchBagWidth:
             twin = TemporalCostGraph(
                 g.n, [(u, v, d * 1000, a * 1000, c) for u, v, d, a, c in g.tuples()]
             )
-            name = choose_solver(inst)
-            assert choose_solver(
+            name = _dispatched(inst)
+            assert _dispatched(
                 CctoInstance(twin, inst.source, inst.sink, inst.k, inst.budget)
             ) == name
             seen.add(name)
         assert {"sparse", "tree", "vitw", "colorcoding"} <= seen
 
     def test_dispatch_never_builds_the_bag_sequence(self, monkeypatch, tmp_path):
-        expected = [choose_solver(inst) for inst in _dispatch_instances()]
+        expected = [_dispatched(inst) for inst in _dispatch_instances()]
         paths = []
         for index, inst in enumerate(_dispatch_instances()):
             paths.append(tmp_path / f"{index}.ccto")
@@ -682,7 +706,7 @@ class TestDispatchBagWidth:
             raise AssertionError("dispatch built the per-time bags")
 
         monkeypatch.setattr("ccto.vitw.vitw_sequence", refuse)
-        assert [choose_solver(inst) for inst in _dispatch_instances()] == expected
+        assert [_dispatched(inst) for inst in _dispatch_instances()] == expected
         for path in paths:
             assert main(["analyze", str(path)]) == 0
 
@@ -700,9 +724,14 @@ def if_chain_choose_solver(instance):
         return "subforest"
     try:
         vitw_window(instance)
+        return "vitw"
     except CapabilityError:
-        return "colorcoding"
-    return "vitw"
+        pass
+    try:
+        _colouring_plan(instance)
+    except CapabilityError:
+        return "refused"
+    return "colorcoding"
 
 
 # A two-vertex tree whose one edge can be crossed 4 times.
@@ -729,7 +758,7 @@ class TestSolverTable:
                 )
             )
         for inst in instances:
-            assert choose_solver(inst) == if_chain_choose_solver(inst)
+            assert _dispatched(inst) == if_chain_choose_solver(inst)
 
     def test_algorithm_choices_are_the_table(self):
         commands = next(
@@ -847,8 +876,10 @@ def test_every_registry_solver_agrees_on_tiny_instances(seed, n, horizon, extra,
 
 def _twins(instance):
     """The instance, its long-axis twin (times x10^5, so any vitw window
-    passes the horizon cap) and its wide-bag twin (13 new leaves of the
-    source, all live at once before every old move)."""
+    passes the horizon cap), its wide-bag twin (13 new leaves of the
+    source, all live at once before every old move) and its many-colour
+    twin (15 new isolated vertices and k raised to 15 inner colours, whose
+    2,313,160 random colourings pass the colouring cap)."""
     graph, n = instance.graph, instance.graph.n
     query = (instance.source, instance.sink, instance.k, instance.budget)
     leaves = [(instance.source, x, 1, 2, 1) for x in range(n, n + 13)]
@@ -858,6 +889,10 @@ def _twins(instance):
     yield instance
     yield CctoInstance(make_graph(n, scaled), *query)
     yield CctoInstance(make_graph(n + 13, shifted + leaves), *query)
+    k = 15 + (1 if instance.source == instance.sink else 2)
+    yield CctoInstance(
+        make_graph(n + 15, graph.tuples()), instance.source, instance.sink, k, instance.budget
+    )
 
 
 @given(
@@ -873,10 +908,9 @@ def test_applicable_exactly_when_run_does_not_refuse(seed, n, horizon, extra, tr
     for instance in _twins(base):
         for name, solver in SOLVERS.items():
             applicable = solver.applicable(instance, subforest)
-            # Colour coding never refuses in the CLI's mode; past n = 8 it
-            # is only too slow to run here.
-            if name == "colorcoding" and instance.graph.n > 8:
-                assert applicable
+            # Colour coding refuses before any sweep; a run it accepts past
+            # n = 8 is only too slow to try here.
+            if name == "colorcoding" and instance.graph.n > 8 and applicable:
                 continue
             try:
                 solver.run(instance, subforest, args)

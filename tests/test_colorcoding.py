@@ -14,7 +14,7 @@ import pytest
 from ccto import colorcoding
 from ccto.core import INF, CapabilityError, CctoInstance, TemporalCostGraph
 from ccto.colorcoding import (
-    MAX_EXHAUSTIVE_COLOURINGS,
+    MAX_COLOURINGS,
     all_pairs_min_walk,
     exhaustive_colouring_count,
     solve_color_coding,
@@ -464,7 +464,7 @@ class TestSolveColorCoding:
         # which is refused before any sweep runs.
         g = make_graph(12, [(0, 1, 1, 2, 1)])
         instance = CctoInstance(g, 0, 1, 6, 99)
-        assert exhaustive_colouring_count(instance) > MAX_EXHAUSTIVE_COLOURINGS
+        assert exhaustive_colouring_count(instance) > MAX_COLOURINGS
         with pytest.raises(CapabilityError, match="colourings exceed the cap"):
             solve_color_coding(instance, "exhaustive")
 
@@ -555,6 +555,24 @@ class TestSolveColorCoding:
         instance = CctoInstance(graph, 0, n - 1, 760, 100_000)
         with pytest.raises(CapabilityError, match="758 inner colours"):
             solve_color_coding(instance, "randomized", seed=1)
+
+    def test_trial_count_refuses_without_building_factorials(self, monkeypatch):
+        # 10^5 inner colours: p! and p^p have about half a million digits
+        # each, and P = p!/p^p is e^-99999 either way, so the count is INF
+        # and the plan refuses it without building them.
+        factorial = math.factorial
+
+        def small_factorial(n):
+            assert n < 10**4, "built a huge factorial"
+            return factorial(n)
+
+        monkeypatch.setattr(colorcoding.math, "factorial", small_factorial)
+        n = 10**5 + 2
+        instance = CctoInstance(make_graph(n, [(0, 1, 1, 2, 1)]), 0, 1, n, 10)
+        started = time.perf_counter()
+        with pytest.raises(CapabilityError, match="^inf randomized colourings exceed the cap"):
+            solve_color_coding(instance, "randomized", seed=1)
+        assert time.perf_counter() - started < 0.5
 
     @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
     def test_pruning_changes_only_the_state_count(self, monkeypatch, mode):
