@@ -15,12 +15,12 @@ POOL_STRIDE = 7
 def _moved(lines):
     """Each regenerated line that differs from its pinned line, with both."""
     pinned = pinned_answers.read_records()
-    name = lambda line: line.split(" ", 1)[0]
-    return [
-        f"{name(line)}:\n  pinned {pinned.get(name(line))}\n  now    {line}"
-        for line in lines
-        if pinned.get(name(line)) != line
-    ]
+    moved = []
+    for line in lines:
+        key = line.split(" ", 1)[0]
+        if pinned.get(key) != line:
+            moved.append(f"{key}:\n  pinned {pinned.get(key)}\n  now    {line}")
+    return moved
 
 
 @pytest.mark.parametrize("workload", pinned_answers.WORKLOADS)
