@@ -205,6 +205,8 @@ def _colouring_plan(instance: CctoInstance, mode=None, failure_prob=DEFAULT_FAIL
         CapabilityError: if the count exceeds MAX_COLOURINGS, in either mode.
     """
     inner, palette = _palette(instance.graph, instance.source, instance.sink, instance.k)
+    if mode is None and palette >= 2 and len(inner) > MAX_COLOURINGS.bit_length():
+        mode = "randomized"  # palette ** inner >= 2 ** inner is past the cap
     if mode != "randomized":
         colourings = exhaustive_colouring_count(instance)
         mode = mode or ("exhaustive" if colourings <= MAX_COLOURINGS else "randomized")

@@ -108,29 +108,33 @@ def solve_vitw(instance: CctoInstance) -> SolveResult:
     """Bag-sequence dynamic program; exact for any instance, fast when the
     bag width is small.
 
-    It runs on `vitw_window`'s shifted, truncated graph, keeping the source
-    and sink in every bag: the source is live before any arrival and the
-    sink must stay addressable after its last departure, while every other
-    vertex is only ever occupied inside its own interval. The reported
-    width follows the two-sided definition unchanged.
+    It steps through every time unit of `vitw_window`'s shifted, truncated
+    graph. Each bag is a bit mask built from `live_intervals()`, with the
+    source and sink kept in every bag: the source is live before any
+    arrival and the sink must stay addressable after its last departure,
+    while every other vertex is only ever occupied inside its own interval.
+    The reported width follows the two-sided definition unchanged.
 
     States map (vertex, forgotten-visited count capped at k, visited subset
-    of the current bag) to minimum fuel, so the optimal cost is independent
-    of the budget; the budget decides feasibility only.
+    of the current bag) to minimum fuel, one state per key, so the optimal
+    cost is independent of the budget; the budget decides feasibility only.
+    A state that enters a bag, by waiting or by a move, moves each visited
+    vertex outside it into the forgotten count.
     """
     source, sink, k = instance.source, instance.sink, instance.k
     window = vitw_window(instance)
     if window is None:
         return _trivial(instance)
     shift, horizon, work, width = window
-    endpoint_mask = (1 << source) | (1 << sink)
-    bag_masks = []
-    for bag in vitw_sequence(work).bags:
-        mask = endpoint_mask
-        for v in bag:
-            mask |= 1 << v
-        bag_masks.append(mask)
-    width_eff = max(bin(mask).count("1") for mask in bag_masks)
+    bag_masks = [(1 << source) | (1 << sink)] * (horizon + 1)
+    for v, (start, stop) in work.live_intervals().items():
+        for t in range(start, stop + 1):
+            bag_masks[t] |= 1 << v
+    width_eff = max(mask.bit_count() for mask in bag_masks)
+
+    def enter(before, mask, bag):
+        """(forgotten count, visited subset) of a state entering `bag`."""
+        return min(k, before + (mask & ~bag).bit_count()), mask & bag
 
     moves_at: dict = {}
     for u, v, depart, arrive, cost in work.tuples():
@@ -148,46 +152,33 @@ def solve_vitw(instance: CctoInstance) -> SolveResult:
         if j > 0:
             bag = bag_masks[j]
             merged = {}
-            merged_from = {}
             for key in sorted(current):
                 v, before, mask = key
                 if not (bag >> v) & 1:
                     continue
-                gone = mask & ~bag
-                key2 = (
-                    v,
-                    min(k, before + bin(gone).count("1")),
-                    mask & bag,
-                )
+                key2 = (v, *enter(before, mask, bag))
                 if current[key] < merged.get(key2, INF):
                     merged[key2] = current[key]
-                    merged_from[key2] = ((j - 1, key), None)
+                    parents[(j, key2)] = ((j - 1, key), None)
             for key2, fuel, back in staged.pop(j, ()):
                 if fuel < merged.get(key2, INF):
                     merged[key2] = fuel
-                    merged_from[key2] = back
+                    parents[(j, key2)] = back
             current = merged
-            for key2, back in merged_from.items():
-                parents[(j, key2)] = back
-        current = _prune(current)
         max_live = max(max_live, len(current))
         total_states += len(current)
         for key in sorted(current):
             v, before, mask = key
             fuel = current[key]
-            if v == sink and before + bin(mask).count("1") >= k:
+            if v == sink and before + mask.bit_count() >= k:
                 if fuel < best:
                     best, best_at = fuel, (j, key)
             for arrive, w, cost in moves_at.get((v, j), ()):
                 bag = bag_masks[arrive]
                 if not (bag >> w) & 1:
                     continue
-                gone = mask & ~bag
-                key2 = (
-                    w,
-                    min(k, before + bin(gone).count("1")),
-                    (mask & bag) | (1 << w),
-                )
+                forgotten, kept = enter(before, mask, bag)
+                key2 = (w, forgotten, kept | (1 << w))
                 staged.setdefault(arrive, []).append(
                     (key2, fuel + cost, ((j, key), (v, w, j, arrive)))
                 )
@@ -220,20 +211,3 @@ def solve_vitw(instance: CctoInstance) -> SolveResult:
             "state_bound": bound,
         },
     )
-
-
-def _prune(states: dict) -> dict:
-    """Drop states beaten on both counters by a sibling with the same
-    (vertex, visited subset): more forgotten and no more fuel wins."""
-    groups: dict = {}
-    for (v, before, mask), fuel in states.items():
-        groups.setdefault((v, mask), []).append((before, fuel))
-    kept = {}
-    for (v, mask), entries in groups.items():
-        entries.sort(key=lambda e: (-e[0], e[1]))
-        best_fuel = INF
-        for before, fuel in entries:
-            if fuel < best_fuel:
-                kept[(v, before, mask)] = fuel
-                best_fuel = fuel
-    return kept

@@ -574,6 +574,18 @@ class TestSolveColorCoding:
             solve_color_coding(instance, "randomized", seed=1)
         assert time.perf_counter() - started < 0.5
 
+    def test_mode_choice_skips_a_colouring_count_past_the_cap(self, monkeypatch):
+        # With no mode, 2 inner colours on more inner vertices than the cap
+        # has bits are past it, so the plan is randomized without building
+        # palette ** inner.
+        def no_count(instance):
+            raise AssertionError("counted exhaustive colourings")
+
+        monkeypatch.setattr(colorcoding, "exhaustive_colouring_count", no_count)
+        n = MAX_COLOURINGS.bit_length() + 3
+        instance = CctoInstance(make_graph(n, [(0, 1, 1, 2, 1)]), 0, 1, 4, 10)
+        assert colorcoding._colouring_plan(instance) == ("randomized", 10)
+
     @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
     def test_pruning_changes_only_the_state_count(self, monkeypatch, mode):
         # Sweeping only the moves on a source -> sink walk keeps every

@@ -81,6 +81,21 @@ class TestSolveVitw:
         assert result.optimal_cost == 3
         verify_result(instance, result)
 
+    @pytest.mark.parametrize("k, cost", [(3, 6), (4, 6), (5, INF)])
+    def test_k_counts_vertices_that_left_the_bag(self, k, cost):
+        # Vertex 1 is live only at time 2 and vertex 2 only over 3..5, so
+        # both have left the bag before the sink is reached at 6: k 3 and 4
+        # are met only through the forgotten count.
+        graph = make_graph(4, [(0, 1, 1, 2, 1), (1, 2, 2, 3, 2), (2, 3, 5, 6, 3)])
+        instance = CctoInstance(graph, 0, 3, k, 10)
+        result = solve_vitw(instance)
+        expected = solve_exact(instance)
+        assert result.optimal_cost == expected.optimal_cost == cost
+        assert result.feasible == expected.feasible
+        if cost < INF:
+            assert result.witness == [(0, 1, 1, 2), (1, 2, 2, 3), (2, 3, 5, 6)]
+            verify_result(instance, result)
+
     def test_k_beyond_n_is_infeasible(self, i1):
         result = solve_vitw(CctoInstance(i1, 0, 0, 4, 50))
         assert not result.feasible
