@@ -205,11 +205,10 @@ def _colouring_plan(instance: CctoInstance, mode=None, failure_prob=DEFAULT_FAIL
         CapabilityError: if the count exceeds MAX_COLOURINGS, in either mode.
     """
     inner, palette = _palette(instance.graph, instance.source, instance.sink, instance.k)
-    if mode is None and palette >= 2 and len(inner) > MAX_COLOURINGS.bit_length():
-        mode = "randomized"  # palette ** inner >= 2 ** inner is past the cap
-    if mode != "randomized":
-        colourings = exhaustive_colouring_count(instance)
-        mode = mode or ("exhaustive" if colourings <= MAX_COLOURINGS else "randomized")
+    # With more inner vertices than the cap has bits, palette ** inner >= 2 ** inner is past it.
+    too_long = palette >= 2 and len(inner) > MAX_COLOURINGS.bit_length()
+    colourings = INF if too_long else exhaustive_colouring_count(instance)
+    mode = mode or ("exhaustive" if colourings <= MAX_COLOURINGS else "randomized")
     if mode not in ("exhaustive", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "randomized" and not 0 < failure_prob < 1:
@@ -218,8 +217,9 @@ def _colouring_plan(instance: CctoInstance, mode=None, failure_prob=DEFAULT_FAIL
         return mode, 0
     count = colourings if mode == "exhaustive" else _trial_count(palette, failure_prob)
     if count > MAX_COLOURINGS:
+        shown = f"{palette} ** {len(inner)}" if mode == "exhaustive" and too_long else count
         raise CapabilityError(
-            f"{count} {mode} colourings exceed the cap {MAX_COLOURINGS} "
+            f"{shown} {mode} colourings exceed the cap {MAX_COLOURINGS} "
             f"({palette} inner colours on {len(inner)} inner vertices)"
         )
     return mode, count

@@ -1,13 +1,14 @@
 """Exhaustive reference solvers, trusted by everything else.
 
 Deliberately simple: a label-setting sweep over (vertex, time, visited-set)
-states for whole instances, and a memo-free DFS for pairwise min-cost walk
-queries. Both refuse inputs large enough to make exhaustion dubious.
+states on the moves that lie on a source -> sink walk, and a memo-free DFS
+for pairwise min-cost walk queries. Both refuse inputs large enough to make
+exhaustion dubious, judged on the whole instance graph.
 """
 
 from __future__ import annotations
 
-from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph, walk_back
+from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph, walk_back, walks_between
 from .result import SolveResult
 
 MAX_ORACLE_VERTICES = 14
@@ -37,9 +38,14 @@ def solve_exact(instance: CctoInstance) -> SolveResult:
     labels. Optimal cost is independent of the budget; the budget only
     decides feasibility. Deterministic: states and moves are expanded in
     sorted order and labels improve strictly.
+
+    The cap is checked on the instance graph, then the sweep runs on
+    `walks_between(graph, source, sink)`: a dropped move is never taken or
+    lands where the sink is out of reach, so states that can reach an
+    accepting one keep their labels and parents, and only `states` falls.
     """
-    graph = instance.graph
-    check_oracle_size(graph)
+    check_oracle_size(instance.graph)
+    graph = walks_between(instance.graph, instance.source, instance.sink)
     k = instance.k
     start = (instance.source, 0, DONE if k == 1 else 1 << instance.source)
     labels = {start: 0}

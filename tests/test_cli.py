@@ -118,6 +118,19 @@ class TestSolve:
         assert main(argv + ["--k", "760", "--budget", "100000"]) == 2
         assert "758 inner colours" in capsys.readouterr().err
 
+    def test_exhaustive_count_past_the_digit_limit_is_a_capability_error(self, tmp_path, capsys):
+        # 28 ** 2998 colourings has over 4,300 digits, more than Python will
+        # print; the refusal names the cap instead.
+        n = 3000
+        graph = make_graph(n, [(v, v + 1, v, v + 1, 1) for v in range(n - 1)])
+        path = tmp_path / "path.ccto"
+        save_instance(path, InstanceFile(graph, CctoInstance(graph, 0, n - 1, 30, 10**6)))
+        argv = ["solve", str(path), "--algorithm", "colorcoding", "--mode", "exhaustive"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"28 ** 2998 exhaustive colourings exceed the cap {MAX_COLOURINGS} " in err
+        assert "4300 digits" not in err
+
     def test_forced_inapplicable_algorithm(self, i1_path, capsys):
         code = main(["solve", i1_path, "--algorithm", "sparse"])
         assert code == 2

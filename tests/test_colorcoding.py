@@ -468,6 +468,21 @@ class TestSolveColorCoding:
         with pytest.raises(CapabilityError, match="colourings exceed the cap"):
             solve_color_coding(instance, "exhaustive")
 
+    @pytest.mark.parametrize("k", [30, 3000])
+    def test_exhaustive_cap_past_its_bit_length_builds_no_count(self, monkeypatch, k):
+        # 2998 inner vertices: palette ** inner has far more digits than
+        # Python prints, so the refusal must neither build nor format it.
+        def no_count(instance):
+            raise AssertionError("counted exhaustive colourings")
+
+        monkeypatch.setattr(colorcoding, "exhaustive_colouring_count", no_count)
+        instance = CctoInstance(make_graph(3000, [(0, 1, 1, 2, 1)]), 0, 1, k, 10)
+        with pytest.raises(
+            CapabilityError,
+            match=rf"^{k - 2} \*\* 2998 exhaustive colourings exceed the cap {MAX_COLOURINGS} ",
+        ):
+            solve_color_coding(instance, "exhaustive")
+
     def test_exhaustive_matches_oracle(self):
         for inst in instances_for_suite(seed=6011, count=80):
             want = solve_exact(inst)

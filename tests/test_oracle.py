@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from ccto.core import INF, CapabilityError, CctoInstance, walk_cost
+from ccto.cli import SOLVERS, choose_solver
+from ccto.core import INF, CapabilityError, CctoInstance, walk_back, walk_cost, walks_between
 from ccto.instances import random_instance
-from ccto.oracle import min_cost_walk_oracle, solve_exact
+from ccto.oracle import DONE, min_cost_walk_oracle, solve_exact
 from ccto.result import SolveResult, verify_result
 
 from conftest import (
@@ -66,6 +67,44 @@ def uncapped_solve_exact(instance):
     )
 
 
+def whole_graph_solve_exact(instance):
+    """The capped oracle as it swept before `walks_between`: every move of
+    the whole graph is expanded. The reference for the pruned sweep."""
+    graph = instance.graph
+    k = instance.k
+    start = (instance.source, 0, DONE if k == 1 else 1 << instance.source)
+    labels = {start: 0}
+    parent: dict = {}
+    by_time: dict[int, list] = {0: [start]}
+    for t in sorted({0} | {arrive for _, _, _, arrive, _ in graph.tuples()}):
+        for state in sorted(by_time.pop(t, ())):
+            v, _, mask = state
+            base = labels[state]
+            for depart, arrive, w, cost in graph.moves_from(v):
+                if depart < t:
+                    continue
+                grown = mask | (1 << w)
+                nxt = (w, arrive, DONE if grown.bit_count() == k else grown)
+                candidate = base + cost
+                known = labels.get(nxt)
+                if known is None:
+                    by_time.setdefault(arrive, []).append(nxt)
+                elif candidate >= known:
+                    continue
+                labels[nxt] = candidate
+                parent[nxt] = (state, (v, w, depart, arrive))
+    accepted = [s for s in labels if s[0] == instance.sink and s[2] == DONE]
+    best_state = min(accepted, key=lambda s: (labels[s], s), default=None)
+    best = INF if best_state is None else labels[best_state]
+    return SolveResult(
+        feasible=best <= instance.budget,
+        optimal_cost=best,
+        witness=None if best_state is None else walk_back(parent, best_state, start),
+        solver="oracle",
+        stats={"states": len(labels)},
+    )
+
+
 class TestSolveExact:
     def test_reference_tour(self, i1):
         result = solve_exact(CctoInstance(i1, 0, 0, 3, 8))
@@ -116,6 +155,17 @@ class TestSolveExact:
         graph = make_graph(15, [])
         with pytest.raises(CapabilityError):
             solve_exact(CctoInstance(graph, 0, 0, 1, 0))
+        # Source -> sink walks touch 3 of the 15 vertices; the cap still
+        # counts all 15, in the solver and in the oracle row, and dispatch
+        # passes the query on as before.
+        graph = make_graph(15, [(0, 1, 0, 1, 1), (1, 2, 1, 2, 1), (5, 6, 0, 1, 1), (2, 7, 0, 1, 1)])
+        instance = CctoInstance(graph, 0, 2, 3, 10)
+        assert walks_between(graph, 0, 2).tuple_count() == 2
+        for solve in (solve_exact, lambda q: SOLVERS["oracle"].run(q, (), None)):
+            with pytest.raises(CapabilityError, match="at most 14 vertices, got 15"):
+                solve(instance)
+        assert not SOLVERS["oracle"].applicable(instance, ())
+        assert choose_solver(instance) == "sparse"
 
     def test_matches_walk_enumeration(self):
         rng = random.Random(424242)
@@ -197,6 +247,31 @@ class TestSolveExact:
             assert got.stats["states"] <= expected.stats["states"], seed
             fewer += got.stats["states"] < expected.stats["states"]
         assert fewer > 0
+
+    def test_matches_the_whole_graph_reference(self):
+        fewer = infeasible = 0
+        for seed in range(600):
+            rng = random.Random(seed)
+            n = rng.randint(1, 9)
+            inst = random_instance(
+                seed=seed, n=n, horizon=rng.randint(3, 9),
+                density=rng.choice((0.15, 0.3, 0.45)),
+                shape="tree" if seed % 4 < 2 else "general",
+            )
+            source = inst.source
+            sink = source if seed % 2 or n == 1 else (source + rng.randrange(1, n)) % n
+            instance = CctoInstance(
+                inst.graph, source, sink, rng.randint(1, n + 1), rng.randint(0, 4 * n)
+            )
+            expected, got = whole_graph_solve_exact(instance), solve_exact(instance)
+            assert (got.feasible, got.optimal_cost, got.witness) == (
+                expected.feasible, expected.optimal_cost, expected.witness
+            ), seed
+            assert got.stats["states"] <= expected.stats["states"], seed
+            fewer += got.stats["states"] < expected.stats["states"]
+            infeasible += not got.feasible
+        assert fewer > 0
+        assert infeasible > 0
 
     def test_deterministic(self, i1):
         instance = CctoInstance(i1, 0, 0, 3, 8)
