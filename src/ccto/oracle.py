@@ -1,12 +1,16 @@
 """Exhaustive reference solvers, trusted by everything else.
 
 Deliberately simple: a label-setting sweep over (vertex, time, visited-set)
-states on the moves that lie on a source -> sink walk, and a memo-free DFS
-for pairwise min-cost walk queries. Both refuse inputs large enough to make
-exhaustion dubious, judged on the whole instance graph.
+states on the moves that lie on a source -> sink walk, skipping a move
+whose walks on to the sink cannot complete k distinct vertices, and a
+memo-free DFS for pairwise min-cost walk queries. Both refuse inputs large
+enough to make exhaustion dubious, judged on the whole instance graph.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from operator import itemgetter
 
 from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph, walk_back, walks_between
 from .result import SolveResult
@@ -41,12 +45,28 @@ def solve_exact(instance: CctoInstance) -> SolveResult:
 
     The cap is checked on the instance graph, then the sweep runs on
     `walks_between(graph, source, sink)`: a dropped move is never taken or
-    lands where the sink is out of reach, so states that can reach an
-    accepting one keep their labels and parents, and only `states` falls.
+    lands where the sink is out of reach. Each kept move carries `reach`,
+    the vertices on some walk from its landing on to the sink, its head
+    included, and a state `need` vertices short of k skips a move with
+    fewer than `need` of them outside its visited set. An accepting
+    continuation visits only vertices in `reach`, and a state that passes
+    the test on a move came in on a move that passed it too. So states that
+    can reach an accepting one keep their labels and parents, and only
+    `states` falls.
     """
     check_oracle_size(instance.graph)
     graph = walks_between(instance.graph, instance.source, instance.sink)
     k = instance.k
+    moves = [graph.moves_from(v) for v in range(graph.n)]
+    # reach[v][i] is moves[v][i]'s mask and suffix[v][i] ORs reach[v][i:].
+    # Walks on from a move depart after it, so they are settled first.
+    reach = [[0] * len(m) for m in moves]
+    suffix = [[0] * (len(m) + 1) for m in moves]
+    order = ((m[0], v, i) for v in range(graph.n) for i, m in enumerate(moves[v]))
+    for _, v, i in sorted(order, reverse=True):
+        _, arrive, w, _ = moves[v][i]
+        reach[v][i] = 1 << w | suffix[w][bisect_left(moves[w], arrive, key=itemgetter(0))]
+        suffix[v][i] = reach[v][i] | suffix[v][i + 1]
     start = (instance.source, 0, DONE if k == 1 else 1 << instance.source)
     labels = {start: 0}
     parent: dict = {}
@@ -56,8 +76,9 @@ def solve_exact(instance: CctoInstance) -> SolveResult:
         for state in sorted(by_time.pop(t, ())):
             v, _, mask = state
             base = labels[state]
-            for depart, arrive, w, cost in graph.moves_from(v):
-                if depart < t:
+            need = 0 if mask == DONE else k - mask.bit_count()
+            for (depart, arrive, w, cost), ahead in zip(moves[v], reach[v]):
+                if depart < t or (ahead & ~mask).bit_count() < need:
                     continue
                 # DONE has every bit set, so the OR keeps it DONE.
                 grown = mask | (1 << w)

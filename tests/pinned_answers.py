@@ -37,6 +37,8 @@ from ccto.core import CapabilityError, NotApplicableError
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = Path(__file__).resolve().parent / "pinned_answers.txt"
 POOL_SEED = 1
+# Tier-1 checks every POOL_STRIDE-th pool request (see test_pinned_answers.py).
+POOL_STRIDE = 7
 WORKLOADS = ("small_dense", "colour", "big_graph", "sparse_time")
 QUERIES = 300
 
@@ -78,11 +80,16 @@ def _attempt(solve, *args):
         return exc
 
 
-def pool_records(workload, stride=1):
-    """Records of every `stride`-th request of a seed-1 perfbench pool."""
+def pool_pipeline(workload):
+    """A seed-1 perfbench pool and a `Pipeline` that runs it untraced."""
     run, workloads = _perfbench()
     pool = workloads.GENERATORS[workload](ccto, random.Random(f"{workload}:{POOL_SEED}"))
-    pipeline = run.Pipeline(ccto, run.NoTrace())
+    return pool, run.Pipeline(ccto, run.NoTrace())
+
+
+def pool_records(workload, stride=1):
+    """Records of every `stride`-th request of a seed-1 perfbench pool."""
+    pool, pipeline = pool_pipeline(workload)
     return [
         record(f"{workload}/{index}", _attempt(pipeline.solve, pool[index]))
         for index in range(0, len(pool), stride)

@@ -87,7 +87,7 @@ class TestSolve:
             "step 1 2 2 3\n"
             "step 2 1 4 5\n"
             "step 1 0 5 6\n"
-            "stat states 6\n"
+            "stat states 5\n"
         )
 
     def test_one_colour_star_has_one_colouring(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from ccto.cli import SOLVERS, choose_solver
 from ccto.core import INF, CapabilityError, CctoInstance, walk_back, walk_cost, walks_between
-from ccto.instances import random_instance
+from ccto.instances import parse_instance, random_instance
 from ccto.oracle import DONE, min_cost_walk_oracle, solve_exact
 from ccto.result import SolveResult, verify_result
 
@@ -16,6 +16,7 @@ from conftest import (
     make_graph,
     random_tuple_set,
 )
+from pinned_answers import POOL_STRIDE, pool_pipeline
 
 
 def uncapped_solve_exact(instance):
@@ -272,6 +273,33 @@ class TestSolveExact:
             infeasible += not got.feasible
         assert fewer > 0
         assert infeasible > 0
+
+    def test_fewer_than_k_vertices_on_any_walk_settle_only_the_start(self):
+        # 2 -> 3 -> 4 -> 5 lies on no walk from 0, and 0 -> 1 -> 0 touches
+        # two vertices, so no move out of the start can complete k 3.
+        graph = make_graph(6, [
+            (0, 1, 0, 1, 1), (1, 0, 1, 2, 1), (2, 3, 0, 1, 1), (3, 4, 1, 2, 1), (4, 5, 2, 3, 1),
+        ])
+        instance = CctoInstance(graph, 0, 0, 3, 10)
+        got, expected = solve_exact(instance), whole_graph_solve_exact(instance)
+        assert got.stats["states"] == 1
+        assert (got.feasible, got.optimal_cost, got.witness) == (False, INF, None)
+        assert (expected.feasible, expected.optimal_cost, expected.witness) == (False, INF, None)
+
+    def test_reach_prune_holds_the_small_dense_work_down(self):
+        # Every POOL_STRIDE-th seed-1 small_dense request, run as perfbench
+        # runs it: losing the reach prune fails here, not only in the
+        # benchmark. The 52 requests settle 135,691 states on the whole
+        # graph and 68,155 with `walks_between` alone.
+        pool, pipeline = pool_pipeline("small_dense")
+        pruned = whole = 0
+        for request in pool[::POOL_STRIDE]:
+            solver, result = pipeline.solve(request)
+            assert solver == "oracle"
+            pruned += result.stats["states"]
+            whole += whole_graph_solve_exact(parse_instance(request.text).query).stats["states"]
+        assert pruned == 26928
+        assert 2 * pruned < whole
 
     def test_deterministic(self, i1):
         instance = CctoInstance(i1, 0, 0, 3, 8)

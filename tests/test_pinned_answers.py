@@ -8,8 +8,7 @@ and 3 entries), so each stratum is still sampled.
 import pytest
 
 import pinned_answers
-
-POOL_STRIDE = 7
+from pinned_answers import POOL_STRIDE
 
 
 def _moved(lines):
