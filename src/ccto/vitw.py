@@ -5,14 +5,16 @@ t and some departure at or after t; such membership forms one contiguous
 interval, so a vertex leaves the bag sequence at most once. The solver walks
 the bags in order keeping, per (current vertex, count of visited vertices
 already out of scope, visited subset of the current bag), only the minimum
-fuel — small bags mean few states regardless of the lifetime.
+fuel — small bags mean few states regardless of the lifetime. Like the
+oracle and colour coding, it works on `core.walks_between`'s graph, so
+tuples on no source -> sink walk widen no bag and lengthen no time axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph, walk_back
+from .core import INF, CapabilityError, CctoInstance, TemporalCostGraph, walk_back, walks_between
 from .result import SolveResult
 
 MAX_BAG_WIDTH = 12
@@ -58,62 +60,44 @@ def bag_width(graph: TemporalCostGraph) -> int:
     return width
 
 
-def _trivial(instance):
-    """Result when the source can never move or the sink never be reached:
-    only the one-vertex closed walk, which stays put for free."""
-    stay = instance.source == instance.sink and instance.k == 1
-    return SolveResult(
-        feasible=stay and 0 <= instance.budget,
-        optimal_cost=0 if stay else INF,
-        witness=[] if stay else None,
-        solver="vitw",
-        stats={"trivial": True},
-    )
-
-
 def vitw_window(instance: CctoInstance):
-    """(shift, horizon, graph, width) of the window `solve_vitw` works on,
-    or None when the source never departs or the sink is never reached.
+    """(graph, first, width) that `solve_vitw` works on: the graph of the
+    tuples on some source -> sink walk, from `walks_between`, the first
+    departure from the source in it (1 when it is empty) and its bag width.
 
-    Times are shifted so the earliest source departure is 1 and truncated
-    after the last arrival at the sink; tuples outside are unusable. Both
-    caps are checked from vertex intervals, before any per-time bag.
+    Every tuple outside that graph is unusable. Its lifetime is the last
+    arrival at the sink, so the horizon runs from one time unit before the
+    first departure to there. Both caps are checked from vertex intervals,
+    before any per-time bag.
     """
-    graph, sink = instance.graph, instance.sink
-    source_departs = graph.moves_from(instance.source)
-    if not source_departs:
-        return None
-    shift = 1 - min(depart for depart, _, _, _ in source_departs)
-    shifted = [
-        (u, v, depart + shift, arrive + shift, cost)
-        for u, v, depart, arrive, cost in graph.tuples()
-        if depart + shift >= 1
-    ]
-    sink_arrivals = [arrive for _, v, _, arrive, _ in shifted if v == sink]
-    if not sink_arrivals:
-        return None
-    horizon = max(sink_arrivals)
-    work = TemporalCostGraph(graph.n, [t for t in shifted if t[3] <= horizon])
+    work = walks_between(instance.graph, instance.source, instance.sink)
+    source_departs = work.moves_from(instance.source)
+    first = source_departs[0][0] if source_departs else 1
     width = bag_width(work)
     if width > MAX_BAG_WIDTH:
         raise CapabilityError(f"bag width {width} exceeds the cap {MAX_BAG_WIDTH}")
+    horizon = work.lifetime + 1 - first
     if horizon > MAX_VITW_HORIZON:
         raise CapabilityError(
             f"shifted horizon {horizon} exceeds the time-unit cap {MAX_VITW_HORIZON}"
         )
-    return shift, horizon, work, width
+    return work, first, width
 
 
 def solve_vitw(instance: CctoInstance) -> SolveResult:
     """Bag-sequence dynamic program; exact for any instance, fast when the
     bag width is small.
 
-    It steps through every time unit of `vitw_window`'s shifted, truncated
-    graph. Each bag is a bit mask built from `live_intervals()`, with the
-    source and sink kept in every bag: the source is live before any
-    arrival and the sink must stay addressable after its last departure,
-    while every other vertex is only ever occupied inside its own interval.
-    The reported width follows the two-sided definition unchanged.
+    It steps through every time unit of `vitw_window`'s graph, from one
+    before the first source departure to the last arrival at the sink; the
+    bag of time t sits at index t + shift. Each bag is a bit mask built from
+    `live_intervals()`, with the source and sink kept in every bag: the
+    source is live before any arrival and the sink must stay addressable
+    after its last departure, while every other vertex is only ever
+    occupied inside its own interval. The reported width follows the
+    two-sided definition unchanged. On an empty window the one step holds
+    only the start state, which is an answer exactly when source = sink and
+    k = 1: the one-vertex closed walk, which stays put for free.
 
     States map (vertex, forgotten-visited count capped at k, visited subset
     of the current bag) to minimum fuel, one state per key, so the optimal
@@ -122,13 +106,12 @@ def solve_vitw(instance: CctoInstance) -> SolveResult:
     vertex outside it into the forgotten count.
     """
     source, sink, k = instance.source, instance.sink, instance.k
-    window = vitw_window(instance)
-    if window is None:
-        return _trivial(instance)
-    shift, horizon, work, width = window
+    work, first, width = vitw_window(instance)
+    shift = 1 - first
+    horizon = work.lifetime + shift
     bag_masks = [(1 << source) | (1 << sink)] * (horizon + 1)
     for v, (start, stop) in work.live_intervals().items():
-        for t in range(start, stop + 1):
+        for t in range(start + shift, stop + shift + 1):
             bag_masks[t] |= 1 << v
     width_eff = max(mask.bit_count() for mask in bag_masks)
 
@@ -148,9 +131,9 @@ def solve_vitw(instance: CctoInstance) -> SolveResult:
     max_live = 0
     total_states = 0
 
-    for j in range(horizon + 1):
-        if j > 0:
-            bag = bag_masks[j]
+    for t in range(first - 1, work.lifetime + 1):
+        if t >= first:
+            bag = bag_masks[t + shift]
             merged = {}
             for key in sorted(current):
                 v, before, mask = key
@@ -159,11 +142,11 @@ def solve_vitw(instance: CctoInstance) -> SolveResult:
                 key2 = (v, *enter(before, mask, bag))
                 if current[key] < merged.get(key2, INF):
                     merged[key2] = current[key]
-                    parents[(j, key2)] = ((j - 1, key), None)
-            for key2, fuel, back in staged.pop(j, ()):
+                    parents[(t, key2)] = ((t - 1, key), None)
+            for key2, fuel, back in staged.pop(t, ()):
                 if fuel < merged.get(key2, INF):
                     merged[key2] = fuel
-                    parents[(j, key2)] = back
+                    parents[(t, key2)] = back
             current = merged
         max_live = max(max_live, len(current))
         total_states += len(current)
@@ -172,23 +155,18 @@ def solve_vitw(instance: CctoInstance) -> SolveResult:
             fuel = current[key]
             if v == sink and before + mask.bit_count() >= k:
                 if fuel < best:
-                    best, best_at = fuel, (j, key)
-            for arrive, w, cost in moves_at.get((v, j), ()):
-                bag = bag_masks[arrive]
+                    best, best_at = fuel, (t, key)
+            for arrive, w, cost in moves_at.get((v, t), ()):
+                bag = bag_masks[arrive + shift]
                 if not (bag >> w) & 1:
                     continue
                 forgotten, kept = enter(before, mask, bag)
                 key2 = (w, forgotten, kept | (1 << w))
                 staged.setdefault(arrive, []).append(
-                    (key2, fuel + cost, ((j, key), (v, w, j, arrive)))
+                    (key2, fuel + cost, ((t, key), (v, w, t, arrive)))
                 )
 
-    witness = None
-    if best_at is not None:
-        witness = [
-            (u, w, depart - shift, arrive - shift)
-            for u, w, depart, arrive in walk_back(parents, best_at, (0, start_key))
-        ]
+    witness = None if best_at is None else walk_back(parents, best_at, (first - 1, start_key))
     # Keys are (vertex in bag, forgotten count 0..k, subset of bag); fuel
     # is the value, not part of the key, so the budget does not enter.
     bound = width_eff * (k + 1) * 2**width_eff

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from ccto.cli import choose_solver
 from ccto.core import INF, CapabilityError, CctoInstance, TemporalCostGraph
 from ccto.oracle import solve_exact
 from ccto.result import verify_result
@@ -142,6 +143,28 @@ class TestSolveVitw:
         assert result.optimal_cost == 8
         assert result.stats["effective_lifetime"] == 6
 
+    def test_width_ignores_a_hub_off_every_walk(self, i1):
+        # Vertex 16's 13 leaves are live over times 2..3, beside I1's bags,
+        # for a whole-graph width of 15; no walk from 0 reaches them, so they
+        # never enter a bag the solver builds.
+        hub = [(16, x, 1, 2, 1) for x in range(3, 16)] + [(x, 16, 3, 4, 1) for x in range(3, 16)]
+        instance = CctoInstance(make_graph(17, I1_TUPLES + hub), 0, 0, 3, 8)
+        result = solve_vitw(instance)
+        assert result.feasible
+        assert result.optimal_cost == solve_exact(CctoInstance(i1, 0, 0, 3, 8)).optimal_cost == 8
+        assert result.stats["width"] <= 2
+        verify_result(instance, result)
+        assert choose_solver(instance) == "vitw"
+
+    def test_horizon_ignores_an_unreachable_sink_arrival(self):
+        # Vertex 3 is never reached from 0, so its late move into the sink
+        # neither stretches the time axis nor trips the time-unit cap.
+        instance = CctoInstance(make_graph(4, I1_TUPLES + [(3, 0, 10**6, 10**6 + 1, 1)]), 0, 0, 3, 8)
+        result = solve_vitw(instance)
+        assert result.optimal_cost == 8
+        assert result.stats["effective_lifetime"] == 6
+        verify_result(instance, result)
+
     def test_width_cap(self):
         wide = []
         for v in range(1, 14):
@@ -195,8 +218,6 @@ class TestSolveVitw:
     def test_live_states_stay_under_bound(self):
         for inst in instances_for_suite(seed=3307, count=30):
             stats = solve_vitw(inst).stats
-            if "trivial" in stats:
-                continue
             assert stats["max_live_states"] <= stats["state_bound"]
             assert stats["width"] <= stats["width_eff"]
 
@@ -204,8 +225,6 @@ class TestSolveVitw:
         # Fuel is the value of a state, not part of its key.
         for inst in instances_for_suite(seed=3307, count=30):
             stats = solve_vitw(inst).stats
-            if "trivial" in stats:
-                continue
             width = stats["width_eff"]
             assert stats["state_bound"] == width * (inst.k + 1) * 2**width
 
